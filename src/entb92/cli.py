@@ -178,15 +178,31 @@ _SIMULATE_DEFAULTS = {
 }
 
 
+def _check_config_value(key: str, value) -> None:
+    """Reject a config-file value whose JSON type cannot mean what the flag means."""
+    if key == "attack":
+        if not isinstance(value, str):
+            raise ValueError(f"config key 'attack' must be a string, got {json.dumps(value)}")
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r} must be a number, got {json.dumps(value)}")
+    if key in ("rounds", "seed", "chunk_size") and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
+
+
 def _merge_simulate_params(args) -> dict:
     # precedence: flag > config file > default
     merged = dict(_SIMULATE_DEFAULTS)
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_params = json.load(fh)
+        if not isinstance(file_params, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_params) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_params.items():
+            _check_config_value(key, value)
         merged.update(file_params)
     for key in merged:
         flag_value = getattr(args, key)

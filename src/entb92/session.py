@@ -10,12 +10,15 @@ the same per-round outcomes, and the integer tallies merge associatively.
 Results are therefore bit-identical across worker counts.
 
 Round outcomes are sampled from the exact Born distributions of the
-channel-processed state, precomputed once per session for each basis pair.
+channel-processed state, precomputed once per session as two CDF tables
+(see ``_Distributions``). One decode turns a round's variates into its cell;
+the chunked tally and the scalar ``sample_round`` both run it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
@@ -176,15 +179,16 @@ class SessionResult:
 
 
 class _Distributions:
-    """Per-session sampling tables: cumulative Born distributions per basis pair.
+    """Per-session sampling tables: two cumulative Born distributions.
 
-    Attack-free sessions sample one 9-cell joint grid per basis pair. With
-    the attacker on, stage 1 samples the 12-cell joint of (sender outcome,
-    attacker branch) and stage 2 the receiver outcome given the resent
-    (and depolarized) qubit.
+    ``stage1`` holds one CDF per basis pair ``2i + j``: the 9-cell joint
+    grid on attack-free sessions (``stage2`` is None), else the 12-cell
+    joint of (sender row, attacker branch e). ``stage2`` holds the receiver
+    CDF per ``2e + j`` given the resent, depolarized qubit; a branch that
+    resends nothing is the row [0, 0, 1], which always decodes to vacuum.
     """
 
-    __slots__ = ("test_fraction", "joint_cum", "stage1_cum", "stage2_cum")
+    __slots__ = ("test_fraction", "stage1", "stage2")
 
     def __init__(self, config: SessionConfig):
         angle, channel = config.angle, config.channel
@@ -193,9 +197,8 @@ class _Distributions:
         if channel.attacker == "none":
             state = analytic_pipeline_state(angle, channel)
             grids = table_from_state(state, settings, channel).grids
-            self.joint_cum = np.cumsum(grids.reshape(2, 2, 9), axis=2)
-            self.stage1_cum = None
-            self.stage2_cum = None
+            self.stage1 = np.cumsum(grids.reshape(4, 9), axis=1)
+            self.stage2 = None
             return
         source = analytic_pipeline_state(angle, ChannelModel()).qubit
         alice = [lossy_povm(settings.alice[i], channel.eta_a) for i in (0, 1)]
@@ -215,49 +218,47 @@ class _Distributions:
             resent = depolarize(chi.to_density(), channel.depol_p)
             for j in (0, 1):
                 stage2[e, j] = born_probabilities(resent, bob[j])
-        self.joint_cum = None
-        self.stage1_cum = np.cumsum(stage1.reshape(2, 12), axis=1)
-        self.stage2_cum = np.cumsum(stage2, axis=2)
+        self.stage1 = np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0)
+        self.stage2 = np.cumsum(stage2, axis=2).reshape(8, 3)
+
+
+def _decode(u: np.ndarray, cum: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Per-row ``min(searchsorted(cum[key], u, side="right"), C - 1)``.
+
+    CDF rows are nondecreasing, so the clipped insertion point is the number
+    of the row's entries <= u among all but its last column.
+    """
+    idx = np.zeros(len(u), dtype=np.intp)
+    for c in range(cum.shape[1] - 1):
+        idx += cum[:, c].take(key) <= u
+    return idx
+
+
+def _decode_rounds(uniforms: np.ndarray, dist: _Distributions):
+    """Cell ``9 * (2i + j) + 3 * row + col`` of each round, and its stage-2 key.
+
+    ``uniforms`` holds one row of four variates per round. The stage-2 key
+    is ``2e + j`` for attacker branch ``e``, or None on attack-free sessions.
+    """
+    j = uniforms[:, 1] >= 0.5
+    pair = (uniforms[:, 0] < dist.test_fraction).astype(np.intp) * 2 + j
+    cell = _decode(uniforms[:, 2], dist.stage1, pair)
+    pair *= 9
+    if dist.stage2 is None:
+        return cell + pair, None
+    # cell is 4 * row + e. Holding 9 * pair + 3 * row in one byte keeps at
+    # most three round-length intp arrays live: a higher peak per chunk lets
+    # malloc trim the heap and fault it back in on every chunk.
+    pair += (cell >> 2) * 3
+    pair = pair.astype(np.uint8)
+    cell = (cell & 3) * 2 + j
+    return _decode(uniforms[:, 3], dist.stage2, cell) + pair, cell
 
 
 def _tally_chunk(uniforms: np.ndarray, dist: _Distributions) -> np.ndarray:
     """Count-mode (2,2,3,3) tally for one block of per-round uniform draws."""
-    tally = np.zeros((2, 2, 3, 3), dtype=np.int64)
-    i_set = (uniforms[:, 0] < dist.test_fraction).astype(np.int64)
-    j_set = (uniforms[:, 1] >= 0.5).astype(np.int64)
-    if dist.joint_cum is not None:
-        for i in (0, 1):
-            for j in (0, 1):
-                mask = (i_set == i) & (j_set == j)
-                if not mask.any():
-                    continue
-                idx = np.searchsorted(dist.joint_cum[i, j], uniforms[mask, 2], side="right")
-                np.clip(idx, 0, 8, out=idx)
-                tally[i, j] += np.bincount(idx, minlength=9).reshape(3, 3)
-        return tally
-    for i in (0, 1):
-        mask_i = i_set == i
-        if not mask_i.any():
-            continue
-        idx12 = np.searchsorted(dist.stage1_cum[i], uniforms[mask_i, 2], side="right")
-        np.clip(idx12, 0, 11, out=idx12)
-        rows = idx12 // 4
-        eves = idx12 % 4
-        j_sub = j_set[mask_i]
-        u3 = uniforms[mask_i, 3]
-        for j in (0, 1):
-            for e in range(4):
-                mask2 = (j_sub == j) & (eves == e)
-                if not mask2.any():
-                    continue
-                if e >= 2:  # ambiguous branch resends nothing: forced vacuum
-
-                    cols = np.full(int(mask2.sum()), 2, dtype=np.int64)
-                else:
-                    cols = np.searchsorted(dist.stage2_cum[e, j], u3[mask2], side="right")
-                    np.clip(cols, 0, 2, out=cols)
-                tally[i, j] += np.bincount(rows[mask2] * 3 + cols, minlength=9).reshape(3, 3)
-    return tally
+    cell, _ = _decode_rounds(uniforms, dist)
+    return np.bincount(cell, minlength=36).reshape(2, 2, 3, 3)
 
 
 def _record_from_cells(i: int, j: int, row: int, col: int, eve: Optional[int]) -> RoundRecord:
@@ -288,19 +289,10 @@ def sample_round(rng_state: np.random.Generator, config: SessionConfig,
     the session with that seed, independent of any other round.
     """
     dist = _Distributions(config) if _dist is None else _dist
-    u = rng_state.random(4)
-    i = 1 if u[0] < dist.test_fraction else 0
-    j = 1 if u[1] >= 0.5 else 0
-    if dist.joint_cum is not None:
-        idx = min(int(np.searchsorted(dist.joint_cum[i, j], u[2], side="right")), 8)
-        return _record_from_cells(i, j, idx // 3, idx % 3, None)
-    idx12 = min(int(np.searchsorted(dist.stage1_cum[i], u[2], side="right")), 11)
-    row, e = idx12 // 4, idx12 % 4
-    if e >= 2:
-        col = 2
-    else:
-        col = min(int(np.searchsorted(dist.stage2_cum[e, j], u[3], side="right")), 2)
-    return _record_from_cells(i, j, row, col, e + 1)
+    cell, key = _decode_rounds(rng_state.random((1, 4)), dist)
+    pair, cell9 = divmod(int(cell[0]), 9)
+    eve = None if key is None else int(key[0]) // 2 + 1
+    return _record_from_cells(pair >> 1, pair & 1, cell9 // 3, cell9 % 3, eve)
 
 
 class SiftSummary(NamedTuple):
@@ -390,15 +382,15 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     """Run every round and aggregate. Deterministic in (config.seed) alone.
 
     Rounds are processed in chunks of ``config.chunk_size``; ``workers`` > 1
-    distributes chunks over threads. Neither parameter can change any count:
-    each round's variates come from its own counter block.
+    distributes chunks over at most one thread per chunk and per CPU.
+    Neither parameter can change any count: each round's variates come from
+    its own counter block.
     """
-    if workers is None:
-        workers = 1
     if int(workers) < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
     dist = _Distributions(config)
     starts = list(range(0, config.n_rounds, config.chunk_size))
+    threads = min(int(workers), len(starts), os.cpu_count() or 1)
 
     def work(start: int) -> np.ndarray:
         n = min(config.chunk_size, config.n_rounds - start)
@@ -406,12 +398,9 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
         uniforms = gen.random(4 * n).reshape(n, 4)
         return _tally_chunk(uniforms, dist)
 
-    if int(workers) > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             tallies = list(pool.map(work, starts))
     else:
         tallies = [work(s) for s in starts]
-    counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
-    for t in tallies:
-        counts += t
-    return _result_from_table(CorrelationTable("count", counts), config)
+    return _result_from_table(CorrelationTable("count", sum(tallies)), config)

@@ -220,6 +220,29 @@ class TestSimulate:
         assert code == 2
         assert "mystery" in err
 
+    @pytest.mark.parametrize("contents, needle", [
+        ({"eta_a": None}, "eta_a"),
+        ({"rounds": [1000]}, "rounds"),
+        ({"depol": {"p": 0.01}}, "depol"),
+        ({"test_fraction": True}, "test_fraction"),
+        ({"abort_threshold": "0.1"}, "abort_threshold"),
+        ({"seed": 1.7}, "seed"),
+        ({"rounds": 100.5}, "rounds"),
+        ({"chunk_size": 64.25}, "chunk_size"),
+        ({"attack": None}, "attack"),
+        ([60, 100], "JSON object"),
+    ])
+    def test_config_value_types_rejected(self, tmp_path, run_cli, contents, needle):
+        if isinstance(contents, dict):
+            contents = {"theta_deg": 60, "rounds": 100, **contents}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(contents))
+        code, _, err = run_cli("simulate", "--config", str(cfg),
+                               "--output", str(tmp_path / "s.json"))
+        assert code == 2
+        assert needle in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_table_csv_side_output(self, tmp_path, run_cli):
         out = tmp_path / "s.json"
         side = tmp_path / "table.csv"

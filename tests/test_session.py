@@ -1,14 +1,18 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import oracle
 from entb92.channels import ChannelModel
+from entb92 import session
 from entb92.session import (
     RoundRecord,
     SessionConfig,
+    _Distributions,
+    _tally_chunk,
     estimate_table,
     run_session,
     sample_round,
@@ -27,7 +31,6 @@ def cfg(**kw):
 
 def replay_rounds(config):
     """Drive the scalar sampler with the same stream the engine uses."""
-    from entb92.session import _Distributions
     dist = _Distributions(config)
     records = []
     for idx in range(config.n_rounds):
@@ -119,6 +122,60 @@ class TestScalarSampler:
             assert rec.eve_outcome is None
 
 
+def searchsorted_cells(uniforms, dist):
+    """Reference decode: (i, j, row, col) per round by per-row searchsorted."""
+    cells = []
+    for u in uniforms:
+        i, j = int(u[0] < dist.test_fraction), int(u[1] >= 0.5)
+        first = dist.stage1[2 * i + j]
+        k = min(int(np.searchsorted(first, u[2], side="right")), len(first) - 1)
+        if dist.stage2 is None:
+            row, col = divmod(k, 3)
+        else:
+            row, e = divmod(k, 4)
+            second = dist.stage2[2 * e + j]
+            col = min(int(np.searchsorted(second, u[3], side="right")), 2)
+        cells.append((i, j, row, col))
+    return cells
+
+
+def boundary_variates(cdf):
+    """Every CDF entry in [0, 1) and its float neighbours, plus 0 and 1 - ulp."""
+    edges = np.unique(np.concatenate([cdf.ravel(), [0.0, np.nextafter(1.0, 0.0)]]))
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    return np.unique(near[(near >= 0.0) & (near < 1.0)])
+
+
+class TestDecodeKernel:
+    """The chunk tally against an independent decode, at every CDF boundary."""
+
+    @pytest.mark.parametrize("channel", [
+        ChannelModel(),
+        ChannelModel(eta_a=0.8, eta_b=0.7, depol_p=0.03),
+        ChannelModel(attacker="usd"),
+        ChannelModel(eta_a=0.9, eta_b=0.75, depol_p=0.05, attacker="usd"),
+    ], ids=["ideal", "lossy-depolarized", "attacked", "attacked-lossy"])
+    def test_matches_searchsorted_at_cdf_boundaries(self, channel):
+        dist = _Distributions(cfg(channel=channel))
+        tf = dist.test_fraction
+        # basis variates on both sides of their thresholds
+        u0s = [tf, np.nextafter(tf, 0.0)]
+        u1s = [0.5, np.nextafter(0.5, 0.0)]
+        u2s = boundary_variates(dist.stage1)
+        u3s = [0.5] if dist.stage2 is None else boundary_variates(dist.stage2)
+        grid = np.meshgrid(u0s, u1s, u2s, u3s, indexing="ij")
+        uniforms = np.stack([g.ravel() for g in grid], axis=1)
+        want = searchsorted_cells(uniforms, dist)
+        assert {(i, j) for i, j, _, _ in want} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for u, (i, j, row, col) in zip(uniforms, want):
+            expected = np.zeros((2, 2, 3, 3), dtype=np.int64)
+            expected[i, j, row, col] = 1
+            np.testing.assert_array_equal(_tally_chunk(u[None, :], dist), expected, err_msg=repr(u))
+        total = np.zeros((2, 2, 3, 3), dtype=np.int64)
+        np.add.at(total, tuple(np.array(want).T), 1)
+        np.testing.assert_array_equal(_tally_chunk(uniforms, dist), total)
+
+
 class TestSift:
     def test_clean_run_has_no_errors(self):
         records = replay_rounds(cfg(n_rounds=20000))
@@ -178,6 +235,52 @@ class TestRunSession:
         b = run_session(config, workers=4)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == \
             json.dumps(b.to_json_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("workers, cpus, pool", [
+        (64, 8, 3), (64, 2, 2), (2, 8, 2), (64, None, None), (1, 8, None),
+    ])
+    def test_thread_pool_is_capped(self, monkeypatch, workers, cpus, pool):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(session, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = cfg(n_rounds=3000, chunk_size=1000)
+        res = run_session(config, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        np.testing.assert_array_equal(res.table.grids, run_session(config).table.grids)
+
+    # (4, 9) counts per basis pair 2i + j; guards the per-round counter
+    # contract: these must not change when the sampler is rewritten.
+    @pytest.mark.parametrize("channel, seed, counts", [
+        (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02), 31, [
+            [319, 26443, 6817, 19976, 6923, 6697, 2245, 3737, 1483],
+            [20032, 6990, 6714, 337, 26884, 6641, 2282, 3835, 1460],
+            [3438, 1184, 1198, 3484, 10168, 3290, 726, 1239, 473],
+            [3294, 1185, 1105, 3539, 10056, 3390, 736, 1202, 478],
+        ]),
+        (ChannelModel(attacker="usd"), 17, [
+            [0, 14033, 23371, 10528, 3449, 23258, 0, 0, 0],
+            [10726, 3620, 23519, 0, 14109, 23249, 0, 0, 0],
+            [1818, 2988, 1568, 1729, 2892, 14057, 0, 0, 0],
+            [1756, 2989, 1524, 1710, 2993, 14114, 0, 0, 0],
+        ]),
+    ], ids=["lossy-depolarized", "attacked"])
+    def test_counts_pinned_across_versions(self, channel, seed, counts):
+        res = run_session(cfg(n_rounds=200000, seed=seed, channel=channel))
+        assert res.table.grids.reshape(4, 9).tolist() == counts
 
     def test_chunk_size_does_not_change_results(self):
         base = run_session(cfg(n_rounds=50000, seed=3, chunk_size=65536))
