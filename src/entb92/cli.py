@@ -123,13 +123,23 @@ def cmd_curve(args) -> int:
     return _emit_table(args, manifest, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], rows)
 
 
+_RATE_CURVE_MAX_POINTS = 1_000_000
+
+
 def cmd_rate_curve(args) -> int:
     """Secure normalized rate at the optimal angle, versus depolarization."""
+    # every check runs before the first solve
+    if not (math.isfinite(args.p_max) and math.isfinite(args.p_step)):
+        raise ValueError("p-max and p-step must be finite")
     if args.p_step <= 0 or args.p_max <= 0:
         raise ValueError("p-max and p-step must be positive")
+    if args.p_max > 1.0:
+        raise ValueError(f"p-max is a depolarization probability and cannot exceed 1, got {args.p_max!r}")
     n_steps = int(round(args.p_max / args.p_step))
     if abs(n_steps * args.p_step - args.p_max) > 1e-12:
         raise ValueError("p-max must be an integer multiple of p-step")
+    if n_steps >= _RATE_CURVE_MAX_POINTS:
+        raise ValueError(f"the p grid may hold at most {_RATE_CURVE_MAX_POINTS} points, got {n_steps + 1}")
     grid = np.arange(n_steps + 1) * args.p_step
     rows = []
     for p in grid:

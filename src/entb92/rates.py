@@ -26,10 +26,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bell import CH_QUANTUM_MAX, analytic_ch, analytic_ch_max, ch_with_loss
-from .channels import ChannelModel, depolarize
-from .qcore import born_probabilities
-from .states import ProtocolAngle, bob_basis, signal_state
+from .bell import CH_QUANTUM_MAX, ch_with_loss
+from .channels import ChannelModel
+from .states import ProtocolAngle
 
 _CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 _SLACK = 1e-9
@@ -154,6 +153,13 @@ def key_rate(n_con: float, gain: float) -> float:
     return float(n_con) * float(gain)
 
 
+def _check_depol(p) -> float:
+    p = float(p)
+    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarization probability must lie in [0, 1], got {p!r}")
+    return p
+
+
 def depolarized_ch(s_ch: float, p: float) -> float:
     """Probability-form Bell value after depolarization of the receiver qubit.
 
@@ -161,9 +167,7 @@ def depolarized_ch(s_ch: float, p: float) -> float:
     turns any rank-1-settings value s into (1 - 4p/3) s - 2p/3. Fully
     depolarizing (p = 3/4) lands on -1/2, the value of uncorrelated noise.
     """
-    p = float(p)
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarization probability must lie in [0, 1], got {p!r}")
+    p = _check_depol(p)
     return (1.0 - 4.0 * p / 3.0) * float(s_ch) - 2.0 * p / 3.0
 
 
@@ -171,13 +175,54 @@ def _as_angle(theta) -> ProtocolAngle:
     return theta if isinstance(theta, ProtocolAngle) else ProtocolAngle(float(theta))
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+
+
+def _key_round_weights(theta, phi, p: float):
+    """Conclusive weights (same, diff) of the key rounds.
+
+    ``same`` is P(conclusive | receiver basis equals the sender bit): the
+    conjugate ket at setting angle phi overlaps the signal at theta by
+    sin((phi - theta)/2); ``diff`` is the other basis, with overlap
+    sin((phi + theta)/2). Depolarization scales both by d = 1 - 4p/3 and adds
+    2p/3. Works elementwise on arrays.
+    """
+    d = 1.0 - 4.0 * p / 3.0
+    same = d * np.sin(0.5 * (phi - theta)) ** 2 + 2.0 * p / 3.0
+    diff = d * np.sin(0.5 * (phi + theta)) ** 2 + 2.0 * p / 3.0
+    return same, diff
+
+
+def _closed_form(theta, p: float, strategy: str):
+    """(S_CH, QBER, conclusive fraction) at source angle theta, a float or an array.
+
+    The receiver's setting angle phi is theta for ``fixed_settings`` and
+    atan(sin theta) for ``ch_max``; the Bell value is the depolarized
+    analytic_ch / analytic_ch_max curve, Q = same/(same + diff) and the
+    conclusive fraction is (same + diff)/2.
+    """
+    if strategy == "fixed_settings":
+        c = np.cos(theta)
+        s_clean = 0.5 * c * (1.0 - c)
+        phi = theta
+    else:
+        sin_t = np.sin(theta)
+        s_clean = 0.5 * (np.sqrt(sin_t * sin_t + 1.0) - 1.0)
+        phi = np.arctan(sin_t)
+    same, diff = _key_round_weights(theta, phi, p)
+    s = (1.0 - 4.0 * p / 3.0) * s_clean - 2.0 * p / 3.0
+    return s, same / (same + diff), 0.5 * (same + diff)
+
+
 def qber_and_conclusive(theta, channel: ChannelModel, bob_theta: Optional[float] = None):
-    """Error rate and conclusive fraction of the key rounds, analytically.
+    """Error rate and conclusive fraction of the key rounds, in closed form.
 
     Sender measures Z, receiver picks basis B_0/B_1 uniformly; the returned
     fraction is P(conclusive | both detected) and the error rate is
     P(decoded bit wrong | conclusive). Detection efficiencies cancel under
-    the conditioning, so only ``depol_p`` matters. ``bob_theta`` rebuilds the
+    the conditioning, so only ``depol_p`` matters. ``bob_theta`` builds the
     receiver's bases at a different angle (used by the max-violation
     strategy, which pays for its larger Bell value with a larger error
     rate).
@@ -185,20 +230,9 @@ def qber_and_conclusive(theta, channel: ChannelModel, bob_theta: Optional[float]
     if channel.attacker != "none":
         raise ValueError("analytic error rates are defined for attack-free channels")
     angle = _as_angle(theta)
-    receiver_angle = angle if bob_theta is None else ProtocolAngle(float(bob_theta))
-    p_con = 0.0
-    p_err = 0.0
-    for j in (0, 1):
-        rho = depolarize(signal_state(j, angle).to_density(), channel.depol_p)
-        for k in (0, 1):
-            # joint weight: sender bit j (1/2) x receiver basis k (1/2)
-            pc = 0.25 * float(born_probabilities(rho, bob_basis(k, receiver_angle))[0])
-            p_con += pc
-            if k == j:
-                p_err += pc
-    if p_con <= 0.0:
-        raise ValueError("conclusive probability vanished; error rate undefined")
-    return p_err / p_con, p_con
+    phi = angle.theta if bob_theta is None else ProtocolAngle(float(bob_theta)).theta
+    same, diff = _key_round_weights(angle.theta, phi, channel.depol_p)
+    return float(same / (same + diff)), float(0.5 * (same + diff))
 
 
 def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateReport:
@@ -209,16 +243,9 @@ def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateRe
     larger Bell value against a larger error rate. An analytic report's
     ``rate`` equals its ``normalized_rate`` (per detected pair).
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    _check_strategy(strategy)
     angle = _as_angle(theta)
-    if strategy == "fixed_settings":
-        s_clean = analytic_ch(angle.theta)
-        bob_theta = None
-    else:
-        s_clean, bob_theta = analytic_ch_max(angle.theta)
-    s = depolarized_ch(s_clean, p)
-    q, f_con = qber_and_conclusive(angle, ChannelModel(depol_p=p), bob_theta=bob_theta)
+    s, q, f_con = map(float, _closed_form(angle.theta, _check_depol(p), strategy))
     gain = gain_from_ch(s, q)
     r_norm = f_con * gain
     return RateReport(
@@ -254,27 +281,76 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     return x, fn(x)
 
 
-_THETA_LO = 1e-4
-_THETA_HI = math.pi / 2 - 1e-4
+_THETA_GRID = np.linspace(1e-4, math.pi / 2 - 1e-4, 200)
+_THETA_GRID.setflags(write=False)
+
+
+def _gain_array(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """gain_from_ch evaluated elementwise, with h(0) = h(1) = 0."""
+    inside = (q > 0.0) & (q < 1.0)
+    qi = np.where(inside, q, 0.5)
+    entropy = np.where(inside, -qi * np.log2(qi) - (1.0 - qi) * np.log2(1.0 - qi), 0.0)
+    return 1.0 - np.log2(1.0 + np.sqrt(np.maximum(1.0 - 4.0 * s - 4.0 * s * s, 0.0))) - entropy
+
+
+def _gain_slope(theta: float, p: float, strategy: str) -> float:
+    """d(gain)/d(theta) of the closed form, for one angle.
+
+    gain = 1 - log2(1 + r) - h(Q) with r = sqrt(1 - 4s - 4s^2), so
+    d gain = 2 s' (1 + 2s) / (ln 2 r (1 + r)) - log2((1 - Q)/Q) Q'.
+    The entropy term is dropped where Q = 0: that happens only with fixed
+    settings on a noiseless channel, where Q vanishes identically.
+    """
+    d = 1.0 - 4.0 * p / 3.0
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    if strategy == "fixed_settings":
+        phi, dphi = theta, 1.0
+        ds_clean = 0.5 * sin_t * (2.0 * cos_t - 1.0)
+    else:
+        phi, dphi = math.atan(sin_t), cos_t / (1.0 + sin_t * sin_t)
+        ds_clean = 0.5 * sin_t * cos_t / math.sqrt(sin_t * sin_t + 1.0)
+    s, q, _ = _closed_form(theta, p, strategy)
+    r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
+    slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (math.log(2.0) * r * (1.0 + r))
+    if q > 0.0:
+        same, diff = _key_round_weights(theta, phi, p)
+        d_same = 0.5 * d * math.sin(phi - theta) * (dphi - 1.0)
+        d_diff = 0.5 * d * math.sin(phi + theta) * (dphi + 1.0)
+        dq = (d_same * diff - same * d_diff) / (same + diff) ** 2
+        slope -= math.log2((1.0 - q) / q) * dq
+    return slope
 
 
 def optimal_theta(p: float, strategy: str = "fixed_settings"):
     """Source angle maximizing the secure gain at depolarization p.
 
-    Coarse 200-point scan of (0, pi/2) followed by golden-section refinement
-    well below 1e-6 radians. Returns ``(theta_star, report)``; the report may
-    carry a nonpositive rate when p is beyond the tolerable noise.
+    A 200-point scan of (0, pi/2), evaluated as one array expression, picks
+    the best grid angle; its two neighbours bracket the maximum, where the
+    analytic d(gain)/d(theta) changes sign from positive to negative. That
+    root is bisected until the bracket holds two adjacent floats; theta* is
+    the last float at which the computed slope is still positive. Returns
+    ``(theta_star, report)``; the report may carry a nonpositive rate when p
+    is beyond the tolerable noise.
     """
-
-    def objective(t: float) -> float:
-        return normalized_rate(t, p, strategy).gain
-
-    grid = np.linspace(_THETA_LO, _THETA_HI, 200)
-    values = [objective(t) for t in grid]
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    theta_star, _ = golden_section_max(objective, lo, hi, tol=1e-8)
+    _check_strategy(strategy)
+    p = _check_depol(p)
+    s, q, _ = _closed_form(_THETA_GRID, p, strategy)
+    i = int(np.argmax(_gain_array(s, q)))
+    a = float(_THETA_GRID[max(i - 1, 0)])
+    b = float(_THETA_GRID[min(i + 1, len(_THETA_GRID) - 1)])
+    if _gain_slope(a, p, strategy) <= 0.0:
+        theta_star = a  # gain falls from the low end of the scan range
+    elif _gain_slope(b, p, strategy) > 0.0:
+        theta_star = b  # gain rises to the high end of the scan range
+    else:
+        mid = 0.5 * (a + b)
+        while a < mid < b:
+            if _gain_slope(mid, p, strategy) > 0.0:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * (a + b)
+        theta_star = a
     return theta_star, normalized_rate(theta_star, p, strategy)
 
 
@@ -284,8 +360,7 @@ def max_depolarization(strategy: str = "fixed_settings") -> ThresholdResult:
     The objective g(p) is the normalized rate at the per-p optimal angle;
     g(0) must be positive and g at the upper bracket edge negative.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    _check_strategy(strategy)
     lo, hi = 0.0, 0.05
     tol = 1e-5
 

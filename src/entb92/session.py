@@ -17,6 +17,7 @@ the chunked tally and the scalar ``sample_round`` both run it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -186,18 +187,19 @@ class _Distributions:
     joint of (sender row, attacker branch e). ``stage2`` holds the receiver
     CDF per ``2e + j`` given the resent, depolarized qubit; a branch that
     resends nothing is the row [0, 0, 1], which always decodes to vacuum.
+    Both tables are read-only, so one instance can serve many callers.
     """
 
     __slots__ = ("test_fraction", "stage1", "stage2")
 
-    def __init__(self, config: SessionConfig):
-        angle, channel = config.angle, config.channel
-        self.test_fraction = config.test_fraction
+    def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
+        self.test_fraction = test_fraction
         settings = ch_settings(angle)
         if channel.attacker == "none":
             state = analytic_pipeline_state(angle, channel)
             grids = table_from_state(state, settings, channel).grids
             self.stage1 = np.cumsum(grids.reshape(4, 9), axis=1)
+            self.stage1.setflags(write=False)
             self.stage2 = None
             return
         source = analytic_pipeline_state(angle, ChannelModel()).qubit
@@ -220,6 +222,15 @@ class _Distributions:
                 stage2[e, j] = born_probabilities(resent, bob[j])
         self.stage1 = np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0)
         self.stage2 = np.cumsum(stage2, axis=2).reshape(8, 3)
+        self.stage1.setflags(write=False)
+        self.stage2.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_distributions(angle: ProtocolAngle, channel: ChannelModel,
+                          test_fraction: float) -> _Distributions:
+    """The tables of one setting, built on its first ``sample_round`` only."""
+    return _Distributions(angle, channel, test_fraction)
 
 
 def _decode(u: np.ndarray, cum: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -281,14 +292,15 @@ def _record_from_cells(i: int, j: int, row: int, col: int, eve: Optional[int]) -
     )
 
 
-def sample_round(rng_state: np.random.Generator, config: SessionConfig,
-                 _dist: Optional[_Distributions] = None) -> RoundRecord:
+def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> RoundRecord:
     """Draw one round; consumes exactly four variates from ``rng_state``.
 
     Passing ``Generator(Philox(key=seed, counter=r))`` reproduces round r of
-    the session with that seed, independent of any other round.
+    the session with that seed, independent of any other round. The
+    sampling tables are built once per (angle, channel, test fraction) and
+    reused by later calls with the same setting.
     """
-    dist = _Distributions(config) if _dist is None else _dist
+    dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
     cell, key = _decode_rounds(rng_state.random((1, 4)), dist)
     pair, cell9 = divmod(int(cell[0]), 9)
     eve = None if key is None else int(key[0]) // 2 + 1
@@ -388,7 +400,7 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     """
     if int(workers) < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
-    dist = _Distributions(config)
+    dist = _Distributions(config.angle, config.channel, config.test_fraction)
     starts = list(range(0, config.n_rounds, config.chunk_size))
     threads = min(int(workers), len(starts), os.cpu_count() or 1)
 

@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -116,6 +117,39 @@ class TestRateCurve:
                                "--output", str(tmp_path / "rc.csv"))
         assert code == 2
         assert "multiple" in err
+
+    @pytest.mark.parametrize("p_max, p_step, message", [
+        ("inf", "0.1", "finite"),
+        ("0.04", "inf", "finite"),
+        ("nan", "0.01", "finite"),
+        ("0.04", "nan", "finite"),
+        ("1.5", "0.75", "exceed 1"),
+        ("0.04", "4e-12", "at most"),
+    ])
+    def test_bad_grid_rejected_before_any_solve(self, tmp_path, run_cli, monkeypatch,
+                                                p_max, p_step, message):
+        from entb92 import cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("rate-curve solved a point before validating its grid")
+
+        monkeypatch.setattr(cli, "optimal_theta", no_solve)
+        out = tmp_path / "rc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli("rate-curve", "--p-max", p_max,
+                                   "--p-step", p_step, "--output", str(out))
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    def test_full_range_accepted(self, tmp_path, run_cli):
+        out = tmp_path / "rc.csv"
+        code, _, _ = run_cli("rate-curve", "--p-max", "1", "--p-step", "0.5",
+                             "--output", str(out))
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [0.0, 0.5, 1.0]
 
 
 class TestThresholds:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracle
-from entb92.channels import ChannelModel
+from entb92 import qcore, rates
+from entb92.bell import ch_value, table_from_state
+from entb92.channels import ChannelModel, analytic_pipeline_state, depolarize
 from entb92.rates import (
     PM_REFERENCE_MAX_DEPOL,
     PM_REFERENCE_RATE_AT_ZERO,
@@ -17,11 +19,13 @@ from entb92.rates import (
     gain_from_chsh,
     golden_section_max,
     key_rate,
+    max_depolarization,
     normalized_rate,
     optimal_theta,
     pm_reference_rate,
     qber_and_conclusive,
 )
+from entb92.states import ProtocolAngle, bob_basis, ch_settings, signal_state
 
 RNG = np.random.default_rng(9203)
 
@@ -227,6 +231,94 @@ class TestOptimalTheta:
         th_fixed, _ = optimal_theta(0.02, strategy="fixed_settings")
         th_tuned, _ = optimal_theta(0.02, strategy="ch_max")
         assert th_tuned > th_fixed
+
+
+def pipeline_terms(theta, p, strategy):
+    """(S_CH, QBER, conclusive fraction) through the density-matrix pipeline."""
+    angle = ProtocolAngle(theta)
+    phi = theta if strategy == "fixed_settings" else math.atan(math.sin(theta))
+    channel = ChannelModel(depol_p=p)
+    settings = ch_settings(angle, None if strategy == "fixed_settings" else phi)
+    s = ch_value(table_from_state(analytic_pipeline_state(angle, channel), settings, channel)).value
+    p_con = p_err = 0.0
+    for j in (0, 1):
+        rho = depolarize(signal_state(j, angle).to_density(), p)
+        for k in (0, 1):
+            pc = 0.25 * float(qcore.born_probabilities(rho, bob_basis(k, ProtocolAngle(phi)))[0])
+            p_con += pc
+            p_err += pc if k == j else 0.0
+    return s, p_err / p_con, p_con
+
+
+class TestClosedFormKernel:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.03, 0.2])
+    def test_matches_density_matrix_pipeline(self, strategy, p):
+        for th in np.linspace(0.05, math.pi / 2 - 0.05, 25):
+            rep = normalized_rate(th, p, strategy)
+            s, q, f = pipeline_terms(th, p, strategy)
+            assert rep.s_ch == pytest.approx(s, abs=1e-12)
+            assert rep.qber == pytest.approx(q, abs=1e-12)
+            assert rep.conclusive_fraction == pytest.approx(f, abs=1e-12)
+            assert rep.gain == pytest.approx(gain_from_ch(s, q), abs=1e-12)
+
+    def test_noiseless_qber_is_exactly_zero(self):
+        # the pipeline leaves about 4e-9 of rounding here; the closed form none
+        assert qber_and_conclusive(1e-4, ChannelModel())[0] == 0.0
+        assert normalized_rate(1e-4, 0.0).qber == 0.0
+
+    def test_report_fields_are_python_floats(self):
+        rep = normalized_rate(1.0, 0.01, strategy="ch_max")
+        assert all(type(v) is float for v in rep.to_json_dict().values())
+        assert all(type(v) is float for v in qber_and_conclusive(1.0, ChannelModel(depol_p=0.01)))
+
+    def test_scan_gain_matches_gain_from_ch(self):
+        for strategy in STRATEGIES:
+            for p in (0.0, 0.02, 0.05):
+                s, q, _ = rates._closed_form(rates._THETA_GRID, p, strategy)
+                want = [gain_from_ch(si, qi) for si, qi in zip(s, q)]
+                np.testing.assert_allclose(rates._gain_array(s, q), want, rtol=0.0, atol=1e-13)
+
+    def test_hot_path_builds_no_density_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("density matrix or POVM built on the analytic path")
+
+        monkeypatch.setattr(qcore.DensityMatrix, "__init__", refuse)
+        monkeypatch.setattr(qcore.Povm, "__init__", refuse)
+        with pytest.raises(AssertionError):  # the guard is live
+            qcore.DensityMatrix(np.eye(2) / 2)
+        normalized_rate(1.0, 0.01)
+        normalized_rate(1.0, 0.01, strategy="ch_max")
+        for strategy in STRATEGIES:
+            optimal_theta(0.02, strategy)
+        assert max_depolarization("fixed_settings").value == pytest.approx(0.0336, abs=5e-4)
+
+
+class TestExactThetaStar:
+    def test_noiseless_fixed_settings_optimum_is_pi_over_3(self):
+        theta, rep = optimal_theta(0.0)
+        assert theta == pytest.approx(math.pi / 3, abs=1e-12)
+        assert rep.qber == 0.0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("p", [0.01, 0.02, 0.03])
+    def test_slope_changes_sign_at_theta_star(self, strategy, p):
+        theta, _ = optimal_theta(p, strategy)
+        for delta in (1e-6, 1e-9):
+            assert rates._gain_slope(theta - delta, p, strategy) > 0.0
+            assert rates._gain_slope(theta + delta, p, strategy) < 0.0
+        # bisected down to adjacent floats
+        assert rates._gain_slope(theta, p, strategy) > 0.0
+        assert rates._gain_slope(math.nextafter(theta, math.inf), p, strategy) <= 0.0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_slope_matches_finite_difference(self, strategy):
+        h = 1e-6
+        for p in (0.0, 0.01, 0.03, 0.2):
+            for th in np.linspace(0.1, math.pi / 2 - 0.1, 15):
+                fd = (normalized_rate(th + h, p, strategy).gain
+                      - normalized_rate(th - h, p, strategy).gain) / (2 * h)
+                assert rates._gain_slope(th, p, strategy) == pytest.approx(fd, abs=1e-8)
 
 
 class TestThresholdResult:

@@ -31,12 +31,11 @@ def cfg(**kw):
 
 def replay_rounds(config):
     """Drive the scalar sampler with the same stream the engine uses."""
-    dist = _Distributions(config)
     records = []
     for idx in range(config.n_rounds):
         gen = np.random.Generator(np.random.Philox(key=config.seed,
                                                    counter=idx))
-        records.append(sample_round(gen, config, _dist=dist))
+        records.append(sample_round(gen, config))
     return records
 
 
@@ -121,6 +120,32 @@ class TestScalarSampler:
         for rec in replay_rounds(cfg(n_rounds=50)):
             assert rec.eve_outcome is None
 
+    def test_tables_built_once_per_setting(self, monkeypatch):
+        builds = []
+        real_init = _Distributions.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            real_init(self, *args)
+
+        session._shared_distributions.cache_clear()
+        monkeypatch.setattr(_Distributions, "__init__", counting_init)
+        lossy = ChannelModel(eta_b=0.9)
+        replay_rounds(cfg(n_rounds=20))
+        replay_rounds(cfg(n_rounds=20, seed=8))  # another seed, same setting
+        replay_rounds(cfg(n_rounds=20, channel=lossy))
+        replay_rounds(cfg(n_rounds=20, test_fraction=0.5))
+        assert builds == [(ANG, ChannelModel(), 0.25), (ANG, lossy, 0.25),
+                          (ANG, ChannelModel(), 0.5)]
+
+    def test_shared_tables_are_read_only(self):
+        for channel in (ChannelModel(), ChannelModel(attacker="usd")):
+            dist = session._shared_distributions(ANG, channel, 0.25)
+            for table in (dist.stage1, dist.stage2):
+                if table is not None:
+                    with pytest.raises(ValueError):
+                        table[0, 0] = 0.5
+
 
 def searchsorted_cells(uniforms, dist):
     """Reference decode: (i, j, row, col) per round by per-row searchsorted."""
@@ -156,7 +181,7 @@ class TestDecodeKernel:
         ChannelModel(eta_a=0.9, eta_b=0.75, depol_p=0.05, attacker="usd"),
     ], ids=["ideal", "lossy-depolarized", "attacked", "attacked-lossy"])
     def test_matches_searchsorted_at_cdf_boundaries(self, channel):
-        dist = _Distributions(cfg(channel=channel))
+        dist = _Distributions(ANG, channel, 0.25)
         tf = dist.test_fraction
         # basis variates on both sides of their thresholds
         u0s = [tf, np.nextafter(tf, 0.0)]
