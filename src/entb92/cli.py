@@ -96,9 +96,15 @@ def _emit_table(args, manifest: RunManifest, header: List[str], rows: List[List[
     return EXIT_OK
 
 
+# largest grid any subcommand builds, checked before the grid is allocated
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _theta_grid_degrees(args) -> np.ndarray:
     if args.points < 2:
         raise ValueError("need at least 2 grid points")
+    if args.points > _MAX_GRID_POINTS:
+        raise ValueError(f"the angle grid may hold at most {_MAX_GRID_POINTS} points, got {args.points}")
     if not 0.0 < args.theta_min_deg < args.theta_max_deg < 90.0:
         raise ValueError("degree grid must satisfy 0 < min < max < 90")
     return np.linspace(args.theta_min_deg, args.theta_max_deg, args.points)
@@ -123,9 +129,6 @@ def cmd_curve(args) -> int:
     return _emit_table(args, manifest, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], rows)
 
 
-_RATE_CURVE_MAX_POINTS = 1_000_000
-
-
 def cmd_rate_curve(args) -> int:
     """Secure normalized rate at the optimal angle, versus depolarization."""
     # every check runs before the first solve
@@ -138,8 +141,8 @@ def cmd_rate_curve(args) -> int:
     n_steps = int(round(args.p_max / args.p_step))
     if abs(n_steps * args.p_step - args.p_max) > 1e-12:
         raise ValueError("p-max must be an integer multiple of p-step")
-    if n_steps >= _RATE_CURVE_MAX_POINTS:
-        raise ValueError(f"the p grid may hold at most {_RATE_CURVE_MAX_POINTS} points, got {n_steps + 1}")
+    if n_steps >= _MAX_GRID_POINTS:
+        raise ValueError(f"the p grid may hold at most {_MAX_GRID_POINTS} points, got {n_steps + 1}")
     grid = np.arange(n_steps + 1) * args.p_step
     rows = []
     for p in grid:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bell import CH_QUANTUM_MAX, ch_with_loss
+from .bell import CH_QUANTUM_MAX
 from .channels import ChannelModel
 from .states import ProtocolAngle
 
@@ -386,10 +386,13 @@ _EFFICIENCY_MODES = ("alice_perfect", "bob_perfect", "symmetric")
 # the supremum over theta sits in the theta -> 0 limit near threshold, so
 # the scan grid is log-spaced down to 1e-4 radians
 _SUP_THETA_GRID = np.logspace(math.log10(1e-4), math.log10(math.pi / 2 - 1e-4), 600)
+_SUP_SIN2 = np.sin(_SUP_THETA_GRID) ** 2
+_SUP_SIN2_HALF = np.sin(_SUP_THETA_GRID / 2.0) ** 2
 
 
 def _best_loss_ch(eta_a: float, eta_b: float) -> float:
-    return max(ch_with_loss(t, eta_a, eta_b) for t in _SUP_THETA_GRID)
+    """Largest ch_with_loss over the scan grid, as one array expression."""
+    return float(np.max((eta_a - 0.5) * eta_b * _SUP_SIN2 - eta_a * _SUP_SIN2_HALF))
 
 
 def efficiency_threshold(mode: str) -> ThresholdResult:

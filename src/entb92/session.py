@@ -9,9 +9,9 @@ into chunks -- and any assignment of chunks to worker threads -- reproduces
 the same per-round outcomes, and the integer tallies merge associatively.
 Results are therefore bit-identical across worker counts.
 
-Round outcomes are sampled from the exact Born distributions of the
-channel-processed state, precomputed once per session as two CDF tables
-(see ``_Distributions``). One decode turns a round's variates into its cell;
+Round outcomes are sampled from the exact Born distributions, written in
+closed form and precomputed once per session as two CDF tables (see
+``_Distributions``). One decode turns a round's variates into its cell;
 the chunked tally and the scalar ``sample_round`` both run it.
 """
 
@@ -26,18 +26,10 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .bell import BellValue, CH_QUANTUM_MAX, CorrelationTable, ch_value, table_from_state
-from .channels import (
-    ChannelModel,
-    analytic_pipeline_state,
-    depolarize,
-    lossy_povm,
-    resend_states,
-    usd_povm,
-)
-from .qcore import born_probabilities
+from .bell import BellValue, CH_QUANTUM_MAX, CorrelationTable, ch_value
+from .channels import ChannelModel
 from .rates import RateReport, gain_from_ch, key_rate
-from .states import ProtocolAngle, ch_settings
+from .states import ProtocolAngle
 
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
@@ -179,6 +171,18 @@ class SessionResult:
         }
 
 
+def _receiver_cells(k, eta_b: float, d: float) -> np.ndarray:
+    """(conclusive, inconclusive, vacuum) at conclusive overlap k, depolarized to d k + (1 - d)/2."""
+    con = eta_b * (d * k + (1.0 - d) / 2.0)
+    return np.stack([con, eta_b - con, np.full_like(con, 1.0 - eta_b)], axis=-1)
+
+
+def _with_sender_rows(w, per_ket, eta_a: float) -> np.ndarray:
+    """Rows (ket 0, ket 1, vacuum) along axis -2: sender row r clicks with eta_a w_r."""
+    joint = w[..., None] * per_ket
+    return np.concatenate([eta_a * joint, (1.0 - eta_a) * joint.sum(axis=-2, keepdims=True)], axis=-2)
+
+
 class _Distributions:
     """Per-session sampling tables: two cumulative Born distributions.
 
@@ -188,42 +192,38 @@ class _Distributions:
     CDF per ``2e + j`` given the resent, depolarized qubit; a branch that
     resends nothing is the row [0, 0, 1], which always decodes to vacuum.
     Both tables are read-only, so one instance can serve many callers.
+
+    The cells are closed forms: sender row r of basis i (weight w_r) steers
+    the receiver onto a ket whose squared overlaps with the receiver's and
+    the attacker's kets give every outcome probability.
     """
 
     __slots__ = ("test_fraction", "stage1", "stage2")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
         self.test_fraction = test_fraction
-        settings = ch_settings(angle)
+        d = 1.0 - 4.0 * channel.depol_p / 3.0
+        s2, c2 = math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2
+        a2, b2 = angle.alpha ** 2, angle.beta ** 2
+        w = np.array([[0.5, 0.5], [a2, b2]])  # (i, row)
         if channel.attacker == "none":
-            state = analytic_pipeline_state(angle, channel)
-            grids = table_from_state(state, settings, channel).grids
+            # overlap of the ket steered by (i, row) with the conclusive ket of B_j
+            k = np.array([[[0.0, s2], [s2, 0.0]], [[b2, a2], [b2, a2]]])  # (i, j, row)
+            grids = _with_sender_rows(w[:, None], _receiver_cells(k, channel.eta_b, d), channel.eta_a)
             self.stage1 = np.cumsum(grids.reshape(4, 9), axis=1)
-            self.stage1.setflags(write=False)
             self.stage2 = None
-            return
-        source = analytic_pipeline_state(angle, ChannelModel()).qubit
-        alice = [lossy_povm(settings.alice[i], channel.eta_a) for i in (0, 1)]
-        bob = [lossy_povm(settings.bob[j], channel.eta_b) for j in (0, 1)]
-        eve = usd_povm(angle)
-        stage1 = np.zeros((2, 3, 4))
-        rho = source.matrix
-        for i in (0, 1):
-            for a, a_el in enumerate(alice[i].elements):
-                for e, e_el in enumerate(eve.elements):
-                    stage1[i, a, e] = max(float(np.trace(np.kron(a_el.matrix, e_el.matrix) @ rho).real), 0.0)
-        stage2 = np.zeros((4, 2, 3))
-        for e, chi in enumerate(resend_states(angle)):
-            if chi is None:
-                stage2[e, :, 2] = 1.0  # suppressed round: receiver sees vacuum
-                continue
-            resent = depolarize(chi.to_density(), channel.depol_p)
-            for j in (0, 1):
-                stage2[e, j] = born_probabilities(resent, bob[j])
-        self.stage1 = np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0)
-        self.stage2 = np.cumsum(stage2, axis=2).reshape(8, 3)
+        else:
+            # P(e | ket) for e = identified_1, identified_0, ambiguous_0, ambiguous_1
+            eve = 0.5 * np.array([[[0.0, s2, 1.0, c2], [s2, 0.0, c2, 1.0]],
+                                  [[b2, b2, a2, a2], [a2, a2, b2, b2]]])  # (i, row, e)
+            stage1 = _with_sender_rows(w, eve, channel.eta_a).reshape(2, 12)
+            self.stage1 = np.repeat(np.cumsum(stage1, axis=1), 2, axis=0)
+            # e = 0 resends signal 1 and e = 1 signal 0; B_j clicks on signal s != j
+            resent = _receiver_cells(s2 * np.eye(2), channel.eta_b, d)  # (e, j, col)
+            suppressed = np.broadcast_to([0.0, 0.0, 1.0], (2, 2, 3))  # receiver sees vacuum
+            self.stage2 = np.cumsum(np.concatenate([resent, suppressed]), axis=2).reshape(8, 3)
+            self.stage2.setflags(write=False)
         self.stage1.setflags(write=False)
-        self.stage2.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=16)

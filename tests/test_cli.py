@@ -92,6 +92,23 @@ class TestCurve:
         assert code == 2
         assert err.strip() != ""
 
+    @pytest.mark.parametrize("subcommand", ["curve", "attack-demo"])
+    @pytest.mark.parametrize("points", ["1000001", "1000000000000"])
+    def test_oversized_grid_rejected_before_allocation(self, tmp_path, run_cli, monkeypatch,
+                                                       subcommand, points):
+        from entb92 import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError(f"{subcommand} built its grid before validating --points")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        monkeypatch.setattr(cli, "analytic_ch", no_grid)
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(subcommand, "--points", points, "--output", str(out))
+        assert code == 2
+        assert "at most 1000000 points" in err
+        assert not out.exists()
+
 
 class TestRateCurve:
     def test_small_grid(self, tmp_path, run_cli):

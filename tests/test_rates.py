@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from entb92 import qcore, rates
-from entb92.bell import ch_value, table_from_state
+from entb92.bell import ch_value, ch_with_loss, table_from_state
 from entb92.channels import ChannelModel, analytic_pipeline_state, depolarize
 from entb92.rates import (
     PM_REFERENCE_MAX_DEPOL,
@@ -278,6 +278,14 @@ class TestClosedFormKernel:
                 s, q, _ = rates._closed_form(rates._THETA_GRID, p, strategy)
                 want = [gain_from_ch(si, qi) for si, qi in zip(s, q)]
                 np.testing.assert_allclose(rates._gain_array(s, q), want, rtol=0.0, atol=1e-13)
+
+    def test_best_loss_ch_matches_scalar_loop(self):
+        for eta_a in (0.3, 0.5, 0.66, 0.75, 1.0):
+            for eta_b in (0.3, 0.5, 0.66, 0.75, 1.0):
+                want = max(ch_with_loss(t, eta_a, eta_b) for t in rates._SUP_THETA_GRID)
+                got = rates._best_loss_ch(eta_a, eta_b)
+                assert type(got) is float
+                assert got == pytest.approx(want, rel=0.0, abs=1e-15)
 
     def test_hot_path_builds_no_density_matrices(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 import oracle
-from entb92.channels import ChannelModel
-from entb92 import session
+from entb92 import qcore, session
+from entb92.bell import table_from_state
+from entb92.channels import (
+    ChannelModel,
+    analytic_pipeline_state,
+    depolarize,
+    lossy_povm,
+    resend_states,
+    usd_povm,
+)
+from entb92.qcore import born_probabilities
 from entb92.session import (
     RoundRecord,
     SessionConfig,
@@ -18,7 +27,7 @@ from entb92.session import (
     sample_round,
     sift,
 )
-from entb92.states import ProtocolAngle
+from entb92.states import ProtocolAngle, ch_settings, entangled_state
 
 ANG = ProtocolAngle(math.pi / 3)
 
@@ -199,6 +208,66 @@ class TestDecodeKernel:
         total = np.zeros((2, 2, 3, 3), dtype=np.int64)
         np.add.at(total, tuple(np.array(want).T), 1)
         np.testing.assert_array_equal(_tally_chunk(uniforms, dist), total)
+
+
+def pipeline_cdfs(angle, channel):
+    """(stage1, stage2) built through the density-matrix pipeline, not the closed form."""
+    settings = ch_settings(angle)
+    if channel.attacker == "none":
+        grids = table_from_state(analytic_pipeline_state(angle, channel), settings, channel).grids
+        return np.cumsum(grids.reshape(4, 9), axis=1), None
+    rho = entangled_state(angle).to_density().matrix
+    alice = [lossy_povm(settings.alice[i], channel.eta_a) for i in (0, 1)]
+    bob = [lossy_povm(settings.bob[j], channel.eta_b) for j in (0, 1)]
+    stage1 = np.array([[[np.trace(np.kron(a.matrix, e.matrix) @ rho).real
+                         for e in usd_povm(angle).elements]
+                        for a in alice[i].elements] for i in (0, 1)])
+    stage2 = np.zeros((4, 2, 3))
+    for e, chi in enumerate(resend_states(angle)):
+        if chi is None:
+            stage2[e, :, 2] = 1.0
+        else:
+            resent = depolarize(chi.to_density(), channel.depol_p)
+            stage2[e] = [born_probabilities(resent, bob[j]) for j in (0, 1)]
+    return (np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0),
+            np.cumsum(stage2, axis=2).reshape(8, 3))
+
+
+class TestClosedFormTables:
+    """The closed-form sampling tables against the density-matrix pipeline."""
+
+    @pytest.mark.parametrize("attacker", ["none", "usd"])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.75, 1.0])
+    def test_match_pipeline(self, attacker, p):
+        for theta in np.linspace(0.05, math.pi / 2 - 0.05, 6):
+            angle = ProtocolAngle(theta)
+            for eta_a in (0.0, 0.37, 1.0):
+                for eta_b in (0.0, 0.37, 1.0):
+                    channel = ChannelModel(eta_a=eta_a, eta_b=eta_b, depol_p=p, attacker=attacker)
+                    dist = _Distributions(angle, channel, 0.25)
+                    want1, want2 = pipeline_cdfs(angle, channel)
+                    np.testing.assert_allclose(dist.stage1, want1, rtol=0.0, atol=1e-13)
+                    if want2 is None:
+                        assert dist.stage2 is None
+                    else:
+                        np.testing.assert_allclose(dist.stage2, want2, rtol=0.0, atol=1e-13)
+
+    def test_sessions_build_no_density_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("density matrix or POVM built on the session path")
+
+        monkeypatch.setattr(qcore.DensityMatrix, "__init__", refuse)
+        monkeypatch.setattr(qcore.Povm, "__init__", refuse)
+        with pytest.raises(AssertionError):  # the guard is live
+            qcore.DensityMatrix(np.eye(2) / 2)
+        session._shared_distributions.cache_clear()
+        for channel in (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02),
+                        ChannelModel(depol_p=0.01, attacker="usd")):
+            config = cfg(n_rounds=3000, chunk_size=1000, channel=channel)
+            for workers in (1, 2):
+                assert run_session(config, workers=workers).table.grids.sum() == 3000
+            gen = np.random.Generator(np.random.Philox(key=config.seed, counter=0))
+            assert isinstance(sample_round(gen, config), RoundRecord)
 
 
 class TestSift:
