@@ -28,11 +28,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bell import analytic_ch, analytic_ch_max, ch_value, table_from_state
-from .channels import ChannelModel, analytic_pipeline_state
+from .bell import analytic_ch, analytic_ch_max, ch_value
+from .channels import ChannelModel
 from .rates import efficiency_threshold, max_depolarization, optimal_theta, pm_reference_rate
-from .session import SessionConfig, run_session
-from .states import ProtocolAngle, ch_settings
+from .session import SessionConfig, born_table, run_session
+from .states import ProtocolAngle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -268,14 +268,11 @@ def cmd_attack_demo(args) -> int:
     """Clean versus attacked Bell value across the angle range."""
     grid = _theta_grid_degrees(args)
     attacked_channel = ChannelModel(attacker="usd")
-    ideal = ChannelModel()
     rows = []
     for deg in grid:
         angle = ProtocolAngle.from_degrees(float(deg))
-        clean = analytic_ch(angle.theta)
-        state = analytic_pipeline_state(angle, attacked_channel)
-        attacked = ch_value(table_from_state(state, ch_settings(angle), ideal)).value
-        rows.append([float(deg), clean, attacked])
+        attacked = ch_value(born_table(angle, attacked_channel)).value
+        rows.append([float(deg), analytic_ch(angle.theta), attacked])
     manifest = RunManifest("attack-demo", {
         "points": args.points,
         "theta_min_deg": args.theta_min_deg,
@@ -286,10 +283,17 @@ def cmd_attack_demo(args) -> int:
     return _emit_table(args, manifest, ["theta_deg", "s_ch_clean", "s_ch_attacked"], rows)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _add_common(sp, default_output: str, formats=("csv", "json"), default_format="csv") -> None:
     sp.add_argument("--output", default=default_output, help="primary output path")
     sp.add_argument("--seed", type=int, default=None, help="random seed (simulation only)")
-    sp.add_argument("--workers", type=int, default=1, help="worker threads; never changes results")
+    sp.add_argument("--workers", type=_positive_int, default=1, help="worker threads; never changes results")
     sp.add_argument("--format", choices=list(formats), default=default_format)
 
 

@@ -358,73 +358,46 @@ def max_depolarization(strategy: str = "fixed_settings") -> ThresholdResult:
     """Largest depolarization with a positive secure rate, by bisection.
 
     The objective g(p) is the normalized rate at the per-p optimal angle;
-    g(0) must be positive and g at the upper bracket edge negative.
+    g(0) must be positive and g at the upper bracket edge negative. The
+    bracket is bisected until it holds two adjacent floats: the value is the
+    last p with g(p) > 0 and the tolerance is the gap to the next float.
     """
     _check_strategy(strategy)
-    lo, hi = 0.0, 0.05
-    tol = 1e-5
+    a, b = 0.0, 0.05
 
     def g(p: float) -> float:
         return optimal_theta(p, strategy)[1].normalized_rate
 
-    if not g(lo) > 0.0:
+    if not g(a) > 0.0:
         raise ValueError("no positive rate at zero noise; bracket invalid")
-    if not g(hi) < 0.0:
+    if not g(b) < 0.0:
         raise ValueError("rate still positive at the upper bracket edge")
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
+    mid = 0.5 * (a + b)
+    while a < mid < b:
         if g(mid) > 0.0:
             a = mid
         else:
             b = mid
-    return ThresholdResult(parameter="depol_p", value=0.5 * (a + b), bracket=(a, b), tolerance=tol)
-
-
-_EFFICIENCY_MODES = ("alice_perfect", "bob_perfect", "symmetric")
-
-# the supremum over theta sits in the theta -> 0 limit near threshold, so
-# the scan grid is log-spaced down to 1e-4 radians
-_SUP_THETA_GRID = np.logspace(math.log10(1e-4), math.log10(math.pi / 2 - 1e-4), 600)
-_SUP_SIN2 = np.sin(_SUP_THETA_GRID) ** 2
-_SUP_SIN2_HALF = np.sin(_SUP_THETA_GRID / 2.0) ** 2
-
-
-def _best_loss_ch(eta_a: float, eta_b: float) -> float:
-    """Largest ch_with_loss over the scan grid, as one array expression."""
-    return float(np.max((eta_a - 0.5) * eta_b * _SUP_SIN2 - eta_a * _SUP_SIN2_HALF))
+        mid = 0.5 * (a + b)
+    return ThresholdResult(parameter="depol_p", value=a, bracket=(a, b), tolerance=b - a)
 
 
 def efficiency_threshold(mode: str) -> ThresholdResult:
-    """Minimum detection efficiency for a positive Bell value, by bisection.
+    """Minimum detection efficiency for a positive Bell value, in closed form.
 
-    Modes: ``alice_perfect`` solves for the receiver efficiency with a
-    perfect sender (threshold 1/2), ``bob_perfect`` the reverse (2/3), and
-    ``symmetric`` ties both together (3/4).
+    ch_with_loss = sin^2(theta/2) [4 (eta_a - 1/2) eta_b cos^2(theta/2) - eta_a]
+    with cos^2(theta/2) < 1 on (0, pi/2], so some angle violates the CH
+    inequality iff 4 (eta_a - 1/2) eta_b > eta_a. The roots: eta_b = 1/2 with
+    a perfect sender (``alice_perfect``), eta_a = 2/3 with a perfect receiver
+    (``bob_perfect``) and eta = 3/4 for ``symmetric``. The bracket runs from
+    the root's float to the next float up, where the condition holds.
     """
-    if mode == "alice_perfect":
-        objective = lambda e: _best_loss_ch(1.0, e)
-        parameter = "eta_b"
-    elif mode == "bob_perfect":
-        objective = lambda e: _best_loss_ch(e, 1.0)
-        parameter = "eta_a"
-    elif mode == "symmetric":
-        objective = lambda e: _best_loss_ch(e, e)
-        parameter = "eta"
-    else:
-        raise ValueError(f"mode must be one of {_EFFICIENCY_MODES}, got {mode!r}")
-    lo, hi = 0.3, 1.0
-    tol = 1e-4
-    if not objective(lo) < 0.0 < objective(hi):
-        raise ValueError("efficiency bracket does not straddle the threshold")
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if objective(mid) > 0.0:
-            b = mid
-        else:
-            a = mid
-    return ThresholdResult(parameter=parameter, value=0.5 * (a + b), bracket=(a, b), tolerance=tol)
+    roots = {"alice_perfect": ("eta_b", 1 / 2), "bob_perfect": ("eta_a", 2 / 3), "symmetric": ("eta", 3 / 4)}
+    if mode not in roots:
+        raise ValueError(f"mode must be one of {tuple(roots)}, got {mode!r}")
+    parameter, root = roots[mode]
+    hi = math.nextafter(root, 1.0)
+    return ThresholdResult(parameter=parameter, value=root, bracket=(root, hi), tolerance=hi - root)
 
 
 def pm_reference_rate(p: float) -> float:

@@ -9,9 +9,9 @@ into chunks -- and any assignment of chunks to worker threads -- reproduces
 the same per-round outcomes, and the integer tallies merge associatively.
 Results are therefore bit-identical across worker counts.
 
-Round outcomes are sampled from the exact Born distributions, written in
-closed form and precomputed once per session as two CDF tables (see
-``_Distributions``). One decode turns a round's variates into its cell;
+Round outcomes are sampled from the exact Born cells of ``_born_stages``,
+which ``born_table`` also returns, precomputed once per session as two CDF
+tables. One decode turns a round's variates into its cell;
 the chunked tally and the scalar ``sample_round`` both run it.
 """
 
@@ -33,6 +33,8 @@ from .states import ProtocolAngle
 
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
+# chunk starts, futures and tallies take about 2.4 kB per chunk: at most 160 MB
+MAX_CHUNKS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,9 @@ class SessionConfig:
         if int(self.chunk_size) < 1:
             raise ValueError(f"chunk_size must be positive, got {self.chunk_size!r}")
         object.__setattr__(self, "chunk_size", int(self.chunk_size))
+        if -(-self.n_rounds // self.chunk_size) > MAX_CHUNKS:
+            raise ValueError(f"a session holds at most {MAX_CHUNKS} chunks: n_rounds may be at most "
+                             f"{MAX_CHUNKS * self.chunk_size} at chunk_size {self.chunk_size}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,47 +188,64 @@ def _with_sender_rows(w, per_ket, eta_a: float) -> np.ndarray:
     return np.concatenate([eta_a * joint, (1.0 - eta_a) * joint.sum(axis=-2, keepdims=True)], axis=-2)
 
 
+def _born_stages(angle: ProtocolAngle, channel: ChannelModel):
+    """Closed-form Born cells of one setting, before any cumulative sum.
+
+    Attack-free: the (i, j, row, col) grid and None. Attacked: the (i, row, e)
+    joint of sender row and attacker branch e, and the (e, j, col) receiver
+    cells. Sender row r of basis i (weight w_r) steers the receiver onto a ket
+    whose squared overlaps with the receiver's and attacker's kets give each cell.
+    """
+    d = 1.0 - 4.0 * channel.depol_p / 3.0
+    s2, c2 = math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2
+    a2, b2 = angle.alpha ** 2, angle.beta ** 2
+    w = np.array([[0.5, 0.5], [a2, b2]])  # (i, row)
+    if channel.attacker == "none":
+        # overlap of the ket steered by (i, row) with the conclusive ket of B_j
+        k = np.array([[[0.0, s2], [s2, 0.0]], [[b2, a2], [b2, a2]]])  # (i, j, row)
+        return _with_sender_rows(w[:, None], _receiver_cells(k, channel.eta_b, d), channel.eta_a), None
+    # P(e | ket) for e = identified_1, identified_0, ambiguous_0, ambiguous_1
+    eve = 0.5 * np.array([[[0.0, s2, 1.0, c2], [s2, 0.0, c2, 1.0]],
+                          [[b2, b2, a2, a2], [a2, a2, b2, b2]]])  # (i, row, e)
+    # e = 0 resends signal 1 and e = 1 signal 0; B_j clicks on signal s != j
+    resent = _receiver_cells(s2 * np.eye(2), channel.eta_b, d)  # (e, j, col)
+    suppressed = np.broadcast_to([0.0, 0.0, 1.0], (2, 2, 3))  # receiver sees vacuum
+    return _with_sender_rows(w, eve, channel.eta_a), np.concatenate([resent, suppressed])
+
+
+def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
+    """Exact probability table of one setting, in closed form.
+
+    The twin of ``table_from_state(analytic_pipeline_state(angle, channel),
+    ch_settings(angle), channel)``; attacked cells sum over the attacker's branch.
+    """
+    stage1, stage2 = _born_stages(angle, channel)
+    grids = stage1 if stage2 is None else np.einsum("ire,ejc->ijrc", stage1, stage2)
+    return CorrelationTable("probability", grids)
+
+
 class _Distributions:
-    """Per-session sampling tables: two cumulative Born distributions.
+    """Per-session sampling tables: the cumulative sums of ``_born_stages``.
 
-    ``stage1`` holds one CDF per basis pair ``2i + j``: the 9-cell joint
-    grid on attack-free sessions (``stage2`` is None), else the 12-cell
-    joint of (sender row, attacker branch e). ``stage2`` holds the receiver
-    CDF per ``2e + j`` given the resent, depolarized qubit; a branch that
-    resends nothing is the row [0, 0, 1], which always decodes to vacuum.
-    Both tables are read-only, so one instance can serve many callers.
-
-    The cells are closed forms: sender row r of basis i (weight w_r) steers
-    the receiver onto a ket whose squared overlaps with the receiver's and
-    the attacker's kets give every outcome probability.
+    ``stage1`` holds one CDF per basis pair ``2i + j`` (the 12-cell joint of
+    sender row and attacker branch e on attacked sessions); ``stage2``, None
+    without an attacker, one receiver CDF per ``2e + j``. Both are read-only,
+    so one instance can serve many callers.
     """
 
     __slots__ = ("test_fraction", "stage1", "stage2")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
         self.test_fraction = test_fraction
-        d = 1.0 - 4.0 * channel.depol_p / 3.0
-        s2, c2 = math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2
-        a2, b2 = angle.alpha ** 2, angle.beta ** 2
-        w = np.array([[0.5, 0.5], [a2, b2]])  # (i, row)
-        if channel.attacker == "none":
-            # overlap of the ket steered by (i, row) with the conclusive ket of B_j
-            k = np.array([[[0.0, s2], [s2, 0.0]], [[b2, a2], [b2, a2]]])  # (i, j, row)
-            grids = _with_sender_rows(w[:, None], _receiver_cells(k, channel.eta_b, d), channel.eta_a)
-            self.stage1 = np.cumsum(grids.reshape(4, 9), axis=1)
-            self.stage2 = None
+        stage1, stage2 = _born_stages(angle, channel)
+        if stage2 is None:
+            self.stage1 = np.cumsum(stage1.reshape(4, 9), axis=1)
         else:
-            # P(e | ket) for e = identified_1, identified_0, ambiguous_0, ambiguous_1
-            eve = 0.5 * np.array([[[0.0, s2, 1.0, c2], [s2, 0.0, c2, 1.0]],
-                                  [[b2, b2, a2, a2], [a2, a2, b2, b2]]])  # (i, row, e)
-            stage1 = _with_sender_rows(w, eve, channel.eta_a).reshape(2, 12)
-            self.stage1 = np.repeat(np.cumsum(stage1, axis=1), 2, axis=0)
-            # e = 0 resends signal 1 and e = 1 signal 0; B_j clicks on signal s != j
-            resent = _receiver_cells(s2 * np.eye(2), channel.eta_b, d)  # (e, j, col)
-            suppressed = np.broadcast_to([0.0, 0.0, 1.0], (2, 2, 3))  # receiver sees vacuum
-            self.stage2 = np.cumsum(np.concatenate([resent, suppressed]), axis=2).reshape(8, 3)
-            self.stage2.setflags(write=False)
+            self.stage1 = np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0)
+            stage2 = np.cumsum(stage2, axis=2).reshape(8, 3)
+            stage2.setflags(write=False)
         self.stage1.setflags(write=False)
+        self.stage2 = stage2
 
 
 @functools.lru_cache(maxsize=16)

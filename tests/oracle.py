@@ -85,12 +85,8 @@ def lossy_elements(projs, eta):
 
 
 def pair_grid(rho4, a_els, b_els):
-    """3x3 outcome grid for one setting pair."""
-    g = np.empty((3, 3))
-    for i, ea in enumerate(a_els):
-        for j, eb in enumerate(b_els):
-            g[i, j] = np.trace(rho4 @ np.kron(ea, eb)).real
-    return g
+    """3x3 outcome grid for one setting pair: g[i, j] = Tr[rho (A_i x B_j)]."""
+    return np.einsum("abcd,ica,jdb->ij", rho4.reshape(2, 2, 2, 2), np.asarray(a_els), np.asarray(b_els)).real
 
 
 def ch_from_grids(grids):

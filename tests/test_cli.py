@@ -14,6 +14,7 @@ import pytest
 
 import oracle
 from entb92.rates import optimal_theta, pm_reference_rate
+from entb92.session import MAX_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -294,6 +295,17 @@ class TestSimulate:
         assert needle in err
         assert not (tmp_path / "s.json").exists()
 
+    def test_oversized_round_count_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("generator built for an oversized session")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "1000000000000000",
+                               "--output", str(tmp_path / "s.json"))
+        assert code == 2
+        assert f"at most {MAX_CHUNKS} chunks" in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_table_csv_side_output(self, tmp_path, run_cli):
         out = tmp_path / "s.json"
         side = tmp_path / "table.csv"
@@ -331,6 +343,23 @@ class TestAttackDemo:
                              "json", "--output", str(out))
         assert code == 0
         schema_validator("attack_demo").validate(json.loads(out.read_text()))
+
+
+SUBCOMMAND_ARGS = {
+    "curve": [], "rate-curve": [], "thresholds": [], "attack-demo": [],
+    "simulate": ["--theta-deg", "60", "--rounds", "100"],
+}
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_ARGS))
+def test_nonpositive_workers_rejected(tmp_path, run_cli, subcommand, workers):
+    out = tmp_path / "out"
+    code, _, err = run_cli(subcommand, *SUBCOMMAND_ARGS[subcommand], "--workers", workers,
+                           "--output", str(out))
+    assert code == 2
+    assert "--workers" in err and "positive integer" in err
+    assert not out.exists()
 
 
 def declared_console_scripts():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from entb92.rates import (
     ThresholdResult,
     binary_entropy,
     depolarized_ch,
+    efficiency_threshold,
     gain_from_ch,
     gain_from_chsh,
     golden_section_max,
@@ -279,14 +281,6 @@ class TestClosedFormKernel:
                 want = [gain_from_ch(si, qi) for si, qi in zip(s, q)]
                 np.testing.assert_allclose(rates._gain_array(s, q), want, rtol=0.0, atol=1e-13)
 
-    def test_best_loss_ch_matches_scalar_loop(self):
-        for eta_a in (0.3, 0.5, 0.66, 0.75, 1.0):
-            for eta_b in (0.3, 0.5, 0.66, 0.75, 1.0):
-                want = max(ch_with_loss(t, eta_a, eta_b) for t in rates._SUP_THETA_GRID)
-                got = rates._best_loss_ch(eta_a, eta_b)
-                assert type(got) is float
-                assert got == pytest.approx(want, rel=0.0, abs=1e-15)
-
     def test_hot_path_builds_no_density_matrices(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("density matrix or POVM built on the analytic path")
@@ -327,6 +321,49 @@ class TestExactThetaStar:
                 fd = (normalized_rate(th + h, p, strategy).gain
                       - normalized_rate(th - h, p, strategy).gain) / (2 * h)
                 assert rates._gain_slope(th, p, strategy) == pytest.approx(fd, abs=1e-8)
+
+
+def violation_condition(eta_a, eta_b):
+    """4 (eta_a - 1/2) eta_b - eta_a: positive iff some angle violates the CH inequality."""
+    return 4 * (eta_a - Fraction(1, 2)) * eta_b - eta_a
+
+
+EFFICIENCY_MODES = {"alice_perfect": lambda e: (1, e), "bob_perfect": lambda e: (e, 1),
+                    "symmetric": lambda e: (e, e)}
+
+
+class TestExactThresholds:
+    @pytest.mark.parametrize("mode", sorted(EFFICIENCY_MODES))
+    def test_efficiency_bracket_straddles_exact_condition(self, mode):
+        res = efficiency_threshold(mode)
+        lo, hi = res.bracket
+        assert res.value == lo and hi == math.nextafter(lo, 1.0) and res.tolerance == hi - lo
+        assert violation_condition(*map(Fraction, EFFICIENCY_MODES[mode](lo))) <= 0
+        assert violation_condition(*map(Fraction, EFFICIENCY_MODES[mode](hi))) > 0
+
+    def test_condition_sign_matches_lattice_maximum(self):
+        # the supremum over theta is approached as theta -> 0, so the angles
+        # run geometrically down to 1e-4
+        thetas = np.geomspace(1e-4, math.pi / 2, 150)
+        etas = np.linspace(0.0, 1.0, 51)
+        checked = 0
+        for eta_a in etas:
+            for eta_b in etas:
+                cond = float(violation_condition(Fraction(eta_a), Fraction(eta_b)))
+                if abs(cond) <= 1e-3:
+                    continue
+                best = max(ch_with_loss(t, eta_a, eta_b) for t in thetas)
+                assert (best > 0.0) == (cond > 0.0), (eta_a, eta_b, best)
+                checked += 1
+        assert checked > 2500
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_noise_bracket_holds_adjacent_floats(self, strategy):
+        res = max_depolarization(strategy)
+        a, b = res.bracket
+        assert res.value == a and b == math.nextafter(a, 1.0) and res.tolerance == b - a
+        assert optimal_theta(a, strategy)[1].normalized_rate > 0.0
+        assert optimal_theta(b, strategy)[1].normalized_rate <= 0.0
 
 
 class TestThresholdResult:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from entb92 import qcore, session
+from entb92 import cli, qcore, session
 from entb92.bell import table_from_state
 from entb92.channels import (
     ChannelModel,
@@ -18,10 +18,12 @@ from entb92.channels import (
 )
 from entb92.qcore import born_probabilities
 from entb92.session import (
+    MAX_CHUNKS,
     RoundRecord,
     SessionConfig,
     _Distributions,
     _tally_chunk,
+    born_table,
     estimate_table,
     run_session,
     sample_round,
@@ -62,6 +64,11 @@ class TestSessionConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             cfg(**kw)
+
+    def test_chunk_count_bounded(self):
+        assert cfg(n_rounds=MAX_CHUNKS * 7, chunk_size=7).n_rounds == MAX_CHUNKS * 7
+        with pytest.raises(ValueError, match=f"at most {MAX_CHUNKS} chunks"):
+            cfg(n_rounds=MAX_CHUNKS * 7 + 1, chunk_size=7)
 
     def test_json_dict(self):
         d = cfg(seed=3).to_json_dict()
@@ -246,13 +253,16 @@ class TestClosedFormTables:
                     channel = ChannelModel(eta_a=eta_a, eta_b=eta_b, depol_p=p, attacker=attacker)
                     dist = _Distributions(angle, channel, 0.25)
                     want1, want2 = pipeline_cdfs(angle, channel)
+                    state = analytic_pipeline_state(angle, channel)
+                    want = table_from_state(state, ch_settings(angle), channel).grids
+                    np.testing.assert_allclose(born_table(angle, channel).grids, want, rtol=0.0, atol=1e-13)
                     np.testing.assert_allclose(dist.stage1, want1, rtol=0.0, atol=1e-13)
                     if want2 is None:
                         assert dist.stage2 is None
                     else:
                         np.testing.assert_allclose(dist.stage2, want2, rtol=0.0, atol=1e-13)
 
-    def test_sessions_build_no_density_matrices(self, monkeypatch):
+    def test_sessions_build_no_density_matrices(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("density matrix or POVM built on the session path")
 
@@ -268,6 +278,7 @@ class TestClosedFormTables:
                 assert run_session(config, workers=workers).table.grids.sum() == 3000
             gen = np.random.Generator(np.random.Philox(key=config.seed, counter=0))
             assert isinstance(sample_round(gen, config), RoundRecord)
+        assert cli.main(["attack-demo", "--output", str(tmp_path / "demo.csv")]) == 0
 
 
 class TestSift:
