@@ -42,6 +42,10 @@ _CHSH_SIGNS = np.array([[1.0, -1.0, -1.0],
                         [-1.0, 1.0, 1.0],
                         [-1.0, 1.0, 1.0]])
 
+# joint-probability terms of S_CH, indexed (i, j, sender outcome, receiver outcome)
+_CH_JOINT = np.zeros((2, 2, 3, 3))
+_CH_JOINT[:, :, 0, 0] = [[-1.0, 1.0], [1.0, 1.0]]
+
 
 @dataclass(frozen=True)
 class BellValue:
@@ -138,86 +142,51 @@ class CorrelationTable:
         return CorrelationTable("probability", probs, totals=self._totals)
 
     def to_json_dict(self) -> dict:
-        pairs = {}
-        for i in (0, 1):
-            for j in (0, 1):
-                grid = self._grids[i, j]
-                flat = [int(v) for v in grid.ravel()] if self._mode == "count" else [float(v) for v in grid.ravel()]
-                pairs[f"{i}{j}"] = flat
-        totals = None
-        if self._totals is not None:
-            totals = {f"{i}{j}": int(self._totals[i, j]) for i in (0, 1) for j in (0, 1)}
+        pairs = dict(zip(PAIR_KEYS, self._grids.reshape(4, 9).tolist()))
+        totals = None if self._totals is None else dict(zip(PAIR_KEYS, self._totals.ravel().tolist()))
         return {"mode": self._mode, "pairs": pairs, "totals": totals}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
-        grids = np.zeros((2, 2, 3, 3))
-        for key in PAIR_KEYS:
-            flat = np.asarray(data["pairs"][key], dtype=float)
+        flats = [np.asarray(data["pairs"][key], dtype=float) for key in PAIR_KEYS]
+        for key, flat in zip(PAIR_KEYS, flats):
             if flat.shape != (9,):
                 raise ValueError(f"pair {key} must hold 9 values")
-            grids[int(key[0]), int(key[1])] = flat.reshape(3, 3)
         totals = data.get("totals")
         if totals is not None:
-            totals = np.array([[totals["00"], totals["01"]], [totals["10"], totals["11"]]], dtype=np.int64)
-        return cls(data["mode"], grids, totals=totals)
+            totals = np.reshape([totals[key] for key in PAIR_KEYS], (2, 2)).astype(np.int64)
+        return cls(data["mode"], np.reshape(flats, (2, 2, 3, 3)), totals=totals)
 
     def __repr__(self) -> str:
         return f"CorrelationTable(mode={self._mode!r})"
 
 
-def _target_row_marginal(grid: np.ndarray) -> float:
-    return float(grid[0, :].sum())
+def _probabilities(table: CorrelationTable):
+    """Per-pair probabilities, and the weights of pairs (1, j) and (i, 1) in the pooled marginals."""
+    g = table.grids
+    if table.mode == "probability":
+        rows, cols = g[:, :, 0, :].sum(axis=2), g[:, :, :, 0].sum(axis=2)
+        worst = max(np.abs(rows[:, 0] - rows[:, 1]).max(), np.abs(cols[0] - cols[1]).max())
+        if worst > _MARGINAL_ATOL:
+            raise ValueError(f"setting marginals disagree across pairs by {worst:.3e}")
+        return g, np.full(2, 0.5), np.full(2, 0.5)
+    n = table.totals
+    if np.any(n == 0):
+        i, j = np.argwhere(n == 0)[0]
+        raise ValueError(f"setting pair ({i},{j}) has no rounds")
+    return g / n[:, :, None, None], n[1] / n[1].sum(), n[:, 1] / n[:, 1].sum()
 
 
-def _target_col_marginal(grid: np.ndarray) -> float:
-    return float(grid[:, 0].sum())
+def _pair_sums(terms: np.ndarray) -> np.ndarray:
+    """(2, 2) sums of each pair's nine contiguous cells; this order fixes the rounding."""
+    return terms.reshape(2, 2, 9).sum(axis=2)
 
 
-def _check_no_signaling(p: dict) -> None:
-    # cross-pair consistency of the four target marginals
-    gaps = (
-        abs(_target_row_marginal(p[0, 0]) - _target_row_marginal(p[0, 1])),
-        abs(_target_row_marginal(p[1, 0]) - _target_row_marginal(p[1, 1])),
-        abs(_target_col_marginal(p[0, 0]) - _target_col_marginal(p[1, 0])),
-        abs(_target_col_marginal(p[0, 1]) - _target_col_marginal(p[1, 1])),
-    )
-    worst = max(gaps)
-    if worst > _MARGINAL_ATOL:
-        raise ValueError(f"setting marginals disagree across pairs by {worst:.3e}")
-
-
-def _pair_probs(table: CorrelationTable) -> dict:
-    return {(i, j): table.pair_probabilities(i, j) for i in (0, 1) for j in (0, 1)}
-
-
-def _ch_coefficients(table: CorrelationTable) -> dict:
-    """Per-pair coefficient grids whose weighted sum is S_CH.
-
-    In count mode the pooled single-party marginals weight each pair by its
-    round count; in probability mode the two contributing pairs weigh
-    equally.
-    """
-    coeff = {(i, j): np.zeros((3, 3)) for i in (0, 1) for j in (0, 1)}
-    coeff[1, 1][0, 0] += 1.0
-    coeff[0, 1][0, 0] += 1.0
-    coeff[1, 0][0, 0] += 1.0
-    coeff[0, 0][0, 0] -= 1.0
-    if table.mode == "count":
-        n = table.totals.astype(float)
-        wa = n[1, 0] + n[1, 1]
-        wb = n[0, 1] + n[1, 1]
-        if wa <= 0 or wb <= 0:
-            raise ValueError("marginal settings have no rounds")
-        w_a10, w_a11 = n[1, 0] / wa, n[1, 1] / wa
-        w_b01, w_b11 = n[0, 1] / wb, n[1, 1] / wb
-    else:
-        w_a10 = w_a11 = w_b01 = w_b11 = 0.5
-    coeff[1, 0][0, :] -= w_a10
-    coeff[1, 1][0, :] -= w_a11
-    coeff[0, 1][:, 0] -= w_b01
-    coeff[1, 1][:, 0] -= w_b11
-    return coeff
+def _standard_error(table: CorrelationTable, variances: np.ndarray) -> float:
+    """Multinomial delta-method error from per-pair variances; 0 for probability tables."""
+    if table.mode != "count":
+        return 0.0
+    return math.sqrt(sum((np.maximum(variances, 0.0) / table.totals).ravel().tolist()))
 
 
 def ch_value(table: CorrelationTable) -> BellValue:
@@ -227,21 +196,13 @@ def ch_value(table: CorrelationTable) -> BellValue:
     relevant setting (count-weighted in count mode). The standard error is a
     multinomial delta-method estimate; analytic tables get 0.
     """
-    p = _pair_probs(table)
-    if table.mode == "probability":
-        _check_no_signaling(p)
-    coeff = _ch_coefficients(table)
-    value = sum(float((coeff[k] * p[k]).sum()) for k in p)
-    stderr = 0.0
-    if table.mode == "count":
-        var = 0.0
-        for k in p:
-            n = float(table.totals[k])
-            mean = float((coeff[k] * p[k]).sum())
-            second = float((coeff[k] ** 2 * p[k]).sum())
-            var += max(second - mean * mean, 0.0) / n
-        stderr = math.sqrt(var)
-    return BellValue(value, stderr)
+    p, w_a, w_b = _probabilities(table)
+    coeff = _CH_JOINT.copy()
+    coeff[1, :, 0, :] -= w_a[:, None]
+    coeff[:, 1, :, 0] -= w_b[:, None]
+    mean = _pair_sums(coeff * p)
+    second = _pair_sums(coeff ** 2 * p)
+    return BellValue(sum(mean.ravel().tolist()), _standard_error(table, second - mean * mean))
 
 
 def chsh_value(table: CorrelationTable) -> BellValue:
@@ -251,19 +212,10 @@ def chsh_value(table: CorrelationTable) -> BellValue:
     target outcome positive and both other outcomes negative on each side.
     Local bound |S| <= 2.
     """
-    p = _pair_probs(table)
-    if table.mode == "probability":
-        _check_no_signaling(p)
-    corr = {k: float((_CHSH_SIGNS * p[k]).sum()) for k in p}
-    value = corr[1, 1] + corr[0, 1] + corr[1, 0] - corr[0, 0]
-    stderr = 0.0
-    if table.mode == "count":
-        var = 0.0
-        for k in p:
-            n = float(table.totals[k])
-            var += max(1.0 - corr[k] ** 2, 0.0) / n
-        stderr = math.sqrt(var)
-    return BellValue(value, stderr)
+    p, _, _ = _probabilities(table)
+    corr = _pair_sums(_CHSH_SIGNS * p)
+    (e00, e01), (e10, e11) = corr.tolist()
+    return BellValue(e11 + e01 + e10 - e00, _standard_error(table, 1.0 - corr * corr))
 
 
 def chsh_from_ch(s: BellValue) -> BellValue:

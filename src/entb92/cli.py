@@ -138,11 +138,12 @@ def cmd_rate_curve(args) -> int:
         raise ValueError("p-max and p-step must be positive")
     if args.p_max > 1.0:
         raise ValueError(f"p-max is a depolarization probability and cannot exceed 1, got {args.p_max!r}")
-    n_steps = int(round(args.p_max / args.p_step))
+    ratio = args.p_max / args.p_step  # round(ratio) + 1 points; inf for a tiny step, so check before rounding
+    if ratio >= _MAX_GRID_POINTS - 0.5:
+        raise ValueError(f"the p grid may hold at most {_MAX_GRID_POINTS} points, got {ratio + 1:.6g}")
+    n_steps = int(round(ratio))
     if abs(n_steps * args.p_step - args.p_max) > 1e-12:
         raise ValueError("p-max must be an integer multiple of p-step")
-    if n_steps >= _MAX_GRID_POINTS:
-        raise ValueError(f"the p grid may hold at most {_MAX_GRID_POINTS} points, got {n_steps + 1}")
     grid = np.arange(n_steps + 1) * args.p_step
     rows = []
     for p in grid:
@@ -250,13 +251,7 @@ def cmd_simulate(args) -> int:
     manifest = RunManifest("simulate", {**params, "workers": args.workers}, config.seed)
     manifest.add_output(args.output)
     if args.table_csv is not None:
-        rows = []
-        for i in (0, 1):
-            for j in (0, 1):
-                grid = result.table.pair(i, j)
-                for a in range(3):
-                    for b in range(3):
-                        rows.append([i, j, a, b, int(grid[a, b])])
+        rows = [[*cell, int(n)] for cell, n in np.ndenumerate(result.table.grids)]
         _write_csv(args.table_csv,
                    ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows)
         manifest.add_output(args.table_csv)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
@@ -33,8 +34,10 @@ from .states import ProtocolAngle
 
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
-# chunk starts, futures and tallies take about 2.4 kB per chunk: at most 160 MB
+# MAX_CHUNKS only bounds the session length: memory does not grow with the chunk
+# count. A chunk in flight holds about 58 B per round, near 240 MB at MAX_CHUNK_SIZE.
 MAX_CHUNKS = 2 ** 16
+MAX_CHUNK_SIZE = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class SessionConfig:
         object.__setattr__(self, "seed", seed)
         if not math.isfinite(float(self.abort_threshold)):
             raise ValueError("abort_threshold must be finite")
-        if int(self.chunk_size) < 1:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size!r}")
+        if not 1 <= int(self.chunk_size) <= MAX_CHUNK_SIZE:
+            raise ValueError(f"chunk_size must lie in [1, {MAX_CHUNK_SIZE}], got {self.chunk_size!r}")
         object.__setattr__(self, "chunk_size", int(self.chunk_size))
         if -(-self.n_rounds // self.chunk_size) > MAX_CHUNKS:
             raise ValueError(f"a session holds at most {MAX_CHUNKS} chunks: n_rounds may be at most "
@@ -416,25 +419,33 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     """Run every round and aggregate. Deterministic in (config.seed) alone.
 
     Rounds are processed in chunks of ``config.chunk_size``; ``workers`` > 1
-    distributes chunks over at most one thread per chunk and per CPU.
-    Neither parameter can change any count: each round's variates come from
-    its own counter block.
+    runs at most one thread per chunk and per CPU, each taking the next chunk
+    as it frees up into one running tally. Neither parameter can change any
+    count: each round's variates come from its own counter block.
     """
     if int(workers) < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
     dist = _Distributions(config.angle, config.channel, config.test_fraction)
-    starts = list(range(0, config.n_rounds, config.chunk_size))
+    starts = range(0, config.n_rounds, config.chunk_size)
     threads = min(int(workers), len(starts), os.cpu_count() or 1)
 
-    def work(start: int) -> np.ndarray:
+    def tally(start: int) -> np.ndarray:
         n = min(config.chunk_size, config.n_rounds - start)
         gen = np.random.Generator(np.random.Philox(key=config.seed, counter=start))
-        uniforms = gen.random(4 * n).reshape(n, 4)
-        return _tally_chunk(uniforms, dist)
+        return _tally_chunk(gen.random(4 * n).reshape(n, 4), dist)
+
+    chunks, lock = iter(starts), threading.Lock()
+
+    def next_start() -> Optional[int]:
+        with lock:
+            return next(chunks, None)
+
+    def work(_) -> np.ndarray:
+        return sum(map(tally, iter(next_start, None)))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(work, starts))
+            total = sum(pool.map(work, range(threads)))
     else:
-        tallies = [work(s) for s in starts]
-    return _result_from_table(CorrelationTable("count", sum(tallies)), config)
+        total = work(0)
+    return _result_from_table(CorrelationTable("count", total), config)

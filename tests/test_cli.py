@@ -14,7 +14,7 @@ import pytest
 
 import oracle
 from entb92.rates import optimal_theta, pm_reference_rate
-from entb92.session import MAX_CHUNKS
+from entb92.session import MAX_CHUNK_SIZE, MAX_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -143,6 +143,7 @@ class TestRateCurve:
         ("0.04", "nan", "finite"),
         ("1.5", "0.75", "exceed 1"),
         ("0.04", "4e-12", "at most"),
+        ("0.04", "1e-320", "at most"),
     ])
     def test_bad_grid_rejected_before_any_solve(self, tmp_path, run_cli, monkeypatch,
                                                 p_max, p_step, message):
@@ -295,15 +296,20 @@ class TestSimulate:
         assert needle in err
         assert not (tmp_path / "s.json").exists()
 
-    def test_oversized_round_count_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch):
+    @pytest.mark.parametrize("argv, message", [
+        (["--rounds", "1000000000000000"], f"at most {MAX_CHUNKS} chunks"),
+        (["--rounds", "1000000000000", "--chunk-size", "1000000000000"], f"[1, {MAX_CHUNK_SIZE}]"),
+    ], ids=["many-chunks", "huge-chunk"])
+    def test_oversized_round_count_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch,
+                                                            argv, message):
         def no_draw(*args, **kwargs):
             raise AssertionError("generator built for an oversized session")
 
         monkeypatch.setattr(np.random, "Philox", no_draw)
-        code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "1000000000000000",
+        code, _, err = run_cli("simulate", "--theta-deg", "60", *argv,
                                "--output", str(tmp_path / "s.json"))
         assert code == 2
-        assert f"at most {MAX_CHUNKS} chunks" in err
+        assert message in err
         assert not (tmp_path / "s.json").exists()
 
     def test_table_csv_side_output(self, tmp_path, run_cli):

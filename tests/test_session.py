@@ -18,6 +18,7 @@ from entb92.channels import (
 )
 from entb92.qcore import born_probabilities
 from entb92.session import (
+    MAX_CHUNK_SIZE,
     MAX_CHUNKS,
     RoundRecord,
     SessionConfig,
@@ -59,7 +60,7 @@ class TestSessionConfig:
 
     @pytest.mark.parametrize("kw", [
         {"n_rounds": 0}, {"test_fraction": 0.0}, {"test_fraction": 1.0},
-        {"seed": -1}, {"chunk_size": 0},
+        {"seed": -1}, {"chunk_size": 0}, {"chunk_size": MAX_CHUNK_SIZE + 1},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -345,7 +346,7 @@ class TestRunSession:
         (64, 8, 3), (64, 2, 2), (2, 8, 2), (64, None, None), (1, 8, None),
     ])
     def test_thread_pool_is_capped(self, monkeypatch, workers, cpus, pool):
-        sizes = []
+        sizes, tasks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -358,6 +359,8 @@ class TestRunSession:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                tasks.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr(session, "ThreadPoolExecutor", SerialPool)
@@ -365,27 +368,34 @@ class TestRunSession:
         config = cfg(n_rounds=3000, chunk_size=1000)
         res = run_session(config, workers=workers)
         assert sizes == ([] if pool is None else [pool])
+        # one task per thread, not one per chunk
+        assert len(tasks) == len(sizes) and all(n <= size for n, size in zip(tasks, sizes))
         np.testing.assert_array_equal(res.table.grids, run_session(config).table.grids)
 
     # (4, 9) counts per basis pair 2i + j; guards the per-round counter
-    # contract: these must not change when the sampler is rewritten.
-    @pytest.mark.parametrize("channel, seed, counts", [
+    # contract: these must not change when the sampler is rewritten. The
+    # estimate, its error and the QBER pin the estimator on those counts.
+    @pytest.mark.parametrize("channel, seed, counts, estimate", [
         (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02), 31, [
             [319, 26443, 6817, 19976, 6923, 6697, 2245, 3737, 1483],
             [20032, 6990, 6714, 337, 26884, 6641, 2282, 3835, 1460],
             [3438, 1184, 1198, 3484, 10168, 3290, 726, 1239, 473],
             [3294, 1185, 1105, 3539, 10056, 3390, 736, 1202, 478],
-        ]),
+        ], ("0x1.8b8e518e86600p-10", "0x1.11099813cfc2fp-9", 0.01613220539051741)),
         (ChannelModel(attacker="usd"), 17, [
             [0, 14033, 23371, 10528, 3449, 23258, 0, 0, 0],
             [10726, 3620, 23519, 0, 14109, 23249, 0, 0, 0],
             [1818, 2988, 1568, 1729, 2892, 14057, 0, 0, 0],
             [1756, 2989, 1524, 1710, 2993, 14114, 0, 0, 0],
-        ]),
+        ], ("-0x1.bc5f30e1a9debp-4", "0x1.110a7280fd45ap-9", 0.0)),
     ], ids=["lossy-depolarized", "attacked"])
-    def test_counts_pinned_across_versions(self, channel, seed, counts):
+    def test_counts_pinned_across_versions(self, channel, seed, counts, estimate):
         res = run_session(cfg(n_rounds=200000, seed=seed, channel=channel))
         assert res.table.grids.reshape(4, 9).tolist() == counts
+        value, stderr, qber = estimate
+        assert res.s_ch_estimate.value == float.fromhex(value)
+        assert res.s_ch_estimate.standard_error == float.fromhex(stderr)
+        assert res.qber == qber
 
     def test_chunk_size_does_not_change_results(self):
         base = run_session(cfg(n_rounds=50000, seed=3, chunk_size=65536))
