@@ -80,7 +80,7 @@ class CorrelationTable:
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid entries must be finite")
         if mode == "count":
-            if np.any(arr < 0) or not np.allclose(arr, np.round(arr), atol=0.0, rtol=0.0):
+            if np.any(arr < 0) or not np.array_equal(arr, np.round(arr)):
                 raise ValueError("count-mode grids must hold nonnegative integers")
             counts = np.round(arr).astype(np.int64)
             derived = counts.sum(axis=(2, 3))

@@ -9,8 +9,9 @@ simulate     Run a Monte-Carlo session and emit its result as JSON.
 attack-demo  CSV/JSON comparing clean and attacked Bell values.
 
 Angles cross the CLI boundary in degrees and are converted to radians at the
-edge. Every run writes a manifest next to its primary output listing all
-emitted files with SHA-256 checksums, so figure data can be diffed and
+edge. Each subcommand has only the flags it reads. Every run writes a
+manifest next to its primary output recording those parameters and listing
+all emitted files with SHA-256 checksums, so figure data can be diffed and
 pinned. Exit codes: 0 success, 2 configuration error, 3 a simulation ended
 with too few conclusive events to estimate anything (its JSON is still
 written).
@@ -23,7 +24,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -55,12 +56,7 @@ class RunManifest:
         self.outputs.append({"path": str(path), "sha256": digest.hexdigest()})
 
     def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
     def write(self, primary_output: str) -> str:
         path = f"{primary_output}.manifest.json"
@@ -86,13 +82,22 @@ def _fmt(value: float) -> str:
     return "%.12g" % float(value)
 
 
-def _emit_table(args, manifest: RunManifest, header: List[str], rows: List[List[float]]) -> int:
+def _finish(args, params=None, seed=None, extra=()) -> None:
+    """Write the manifest of the outputs; ``params`` defaults to every parsed flag but ``--output``."""
+    if params is None:
+        params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "output")}
+    manifest = RunManifest(args.subcommand, params, seed)
+    for path in (args.output, *extra):
+        manifest.add_output(path)
+    manifest.write(args.output)
+
+
+def _emit_table(args, header: List[str], rows: List[List[float]]) -> int:
     if args.format == "csv":
         _write_csv(args.output, header, rows)
     else:
         _write_json(args.output, {"rows": [dict(zip(header, map(float, row))) for row in rows]})
-    manifest.add_output(args.output)
-    manifest.write(args.output)
+    _finish(args)
     return EXIT_OK
 
 
@@ -119,14 +124,7 @@ def cmd_curve(args) -> int:
         s = analytic_ch(theta)
         s_max, bob_angle = analytic_ch_max(theta)
         rows.append([deg, s, s_max, math.degrees(bob_angle)])
-    manifest = RunManifest("curve", {
-        "points": args.points,
-        "theta_min_deg": args.theta_min_deg,
-        "theta_max_deg": args.theta_max_deg,
-        "format": args.format,
-        "workers": args.workers,
-    }, args.seed)
-    return _emit_table(args, manifest, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], rows)
+    return _emit_table(args, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], rows)
 
 
 def cmd_rate_curve(args) -> int:
@@ -142,21 +140,14 @@ def cmd_rate_curve(args) -> int:
     if ratio >= _MAX_GRID_POINTS - 0.5:
         raise ValueError(f"the p grid may hold at most {_MAX_GRID_POINTS} points, got {ratio + 1:.6g}")
     n_steps = int(round(ratio))
-    if abs(n_steps * args.p_step - args.p_max) > 1e-12:
+    if abs(n_steps * args.p_step - args.p_max) > 1e-12 * args.p_max:
         raise ValueError("p-max must be an integer multiple of p-step")
     grid = np.arange(n_steps + 1) * args.p_step
     rows = []
     for p in grid:
         theta_star, report = optimal_theta(float(p))
         rows.append([float(p), report.normalized_rate, math.degrees(theta_star), pm_reference_rate(float(p))])
-    manifest = RunManifest("rate-curve", {
-        "p_max": args.p_max,
-        "p_step": args.p_step,
-        "format": args.format,
-        "workers": args.workers,
-    }, args.seed)
-    return _emit_table(args, manifest,
-                       ["p", "normalized_rate", "theta_star_deg", "pm_reference"], rows)
+    return _emit_table(args, ["p", "normalized_rate", "theta_star_deg", "pm_reference"], rows)
 
 
 def cmd_thresholds(args) -> int:
@@ -172,41 +163,46 @@ def cmd_thresholds(args) -> int:
         },
     }
     _write_json(args.output, payload)
-    manifest = RunManifest("thresholds", {"workers": args.workers}, args.seed)
-    manifest.add_output(args.output)
-    manifest.write(args.output)
+    _finish(args)
     return EXIT_OK
 
 
-_SIMULATE_DEFAULTS = {
-    "theta_deg": None,
-    "rounds": None,
-    "test_fraction": 0.25,
-    "eta_a": 1.0,
-    "eta_b": 1.0,
-    "depol": 0.0,
-    "attack": "none",
-    "abort_threshold": 0.0,
-    "chunk_size": 65536,
-    "seed": 0,
+# simulate's parameters: each is a flag and a config-file key, with its kind
+# (a type, or a tuple of choices) and its default (None: required)
+_SIMULATE_PARAMS = {
+    "theta_deg": (float, None),
+    "rounds": (int, None),
+    "test_fraction": (float, 0.25),
+    "eta_a": (float, 1.0),
+    "eta_b": (float, 1.0),
+    "depol": (float, 0.0),
+    "attack": (("none", "usd"), "none"),
+    "abort_threshold": (float, 0.0),
+    "chunk_size": (int, 65536),
+    "seed": (int, 0),
 }
 
 
 def _check_config_value(key: str, value) -> None:
     """Reject a config-file value whose JSON type cannot mean what the flag means."""
-    if key == "attack":
+    kind = _SIMULATE_PARAMS[key][0]
+    if isinstance(kind, tuple):
         if not isinstance(value, str):
-            raise ValueError(f"config key 'attack' must be a string, got {json.dumps(value)}")
+            raise ValueError(f"config key {key!r} must be a string, got {json.dumps(value)}")
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config key {key!r} must be a number, got {json.dumps(value)}")
-    if key in ("rounds", "seed", "chunk_size") and isinstance(value, float) and not value.is_integer():
+    if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
+    try:
+        kind(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is too large for a float") from None
 
 
 def _merge_simulate_params(args) -> dict:
     # precedence: flag > config file > default
-    merged = dict(_SIMULATE_DEFAULTS)
+    merged = {key: default for key, (_, default) in _SIMULATE_PARAMS.items()}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_params = json.load(fh)
@@ -233,29 +229,23 @@ def cmd_simulate(args) -> int:
     """Run one seeded session and write its result JSON."""
     params = _merge_simulate_params(args)
     config = SessionConfig(
-        angle=ProtocolAngle.from_degrees(float(params["theta_deg"])),
-        n_rounds=int(params["rounds"]),
-        test_fraction=float(params["test_fraction"]),
-        channel=ChannelModel(
-            eta_a=float(params["eta_a"]),
-            eta_b=float(params["eta_b"]),
-            depol_p=float(params["depol"]),
-            attacker=str(params["attack"]),
-        ),
-        seed=int(params["seed"]),
-        abort_threshold=float(params["abort_threshold"]),
-        chunk_size=int(params["chunk_size"]),
+        angle=ProtocolAngle.from_degrees(params["theta_deg"]),
+        n_rounds=params["rounds"],
+        test_fraction=params["test_fraction"],
+        channel=ChannelModel(eta_a=params["eta_a"], eta_b=params["eta_b"],
+                             depol_p=params["depol"], attacker=params["attack"]),
+        seed=params["seed"],
+        abort_threshold=params["abort_threshold"],
+        chunk_size=params["chunk_size"],
     )
     result = run_session(config, workers=args.workers)
     _write_json(args.output, result.to_json_dict())
-    manifest = RunManifest("simulate", {**params, "workers": args.workers}, config.seed)
-    manifest.add_output(args.output)
     if args.table_csv is not None:
         rows = [[*cell, int(n)] for cell, n in np.ndenumerate(result.table.grids)]
         _write_csv(args.table_csv,
                    ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows)
-        manifest.add_output(args.table_csv)
-    manifest.write(args.output)
+    _finish(args, {**params, "workers": args.workers}, config.seed,
+            extra=() if args.table_csv is None else (args.table_csv,))
     return EXIT_INSUFFICIENT if result.insufficient_statistics else EXIT_OK
 
 
@@ -268,14 +258,7 @@ def cmd_attack_demo(args) -> int:
         angle = ProtocolAngle.from_degrees(float(deg))
         attacked = ch_value(born_table(angle, attacked_channel)).value
         rows.append([float(deg), analytic_ch(angle.theta), attacked])
-    manifest = RunManifest("attack-demo", {
-        "points": args.points,
-        "theta_min_deg": args.theta_min_deg,
-        "theta_max_deg": args.theta_max_deg,
-        "format": args.format,
-        "workers": args.workers,
-    }, args.seed)
-    return _emit_table(args, manifest, ["theta_deg", "s_ch_clean", "s_ch_attacked"], rows)
+    return _emit_table(args, ["theta_deg", "s_ch_clean", "s_ch_attacked"], rows)
 
 
 def _positive_int(text: str) -> int:
@@ -285,11 +268,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sp, default_output: str, formats=("csv", "json"), default_format="csv") -> None:
+def _add_common(sp, default_output: str, table: bool = True) -> None:
+    """``--output``, and ``--format`` on the subcommands that emit a table."""
     sp.add_argument("--output", default=default_output, help="primary output path")
-    sp.add_argument("--seed", type=int, default=None, help="random seed (simulation only)")
-    sp.add_argument("--workers", type=_positive_int, default=1, help="worker threads; never changes results")
-    sp.add_argument("--format", choices=list(formats), default=default_format)
+    if table:
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_theta_grid(sp) -> None:
@@ -317,21 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rate_curve)
 
     sp = sub.add_parser("thresholds", help="efficiency thresholds and noise tolerances")
-    _add_common(sp, "thresholds.json", formats=("json",), default_format="json")
+    _add_common(sp, "thresholds.json", table=False)
     sp.set_defaults(func=cmd_thresholds)
 
     sp = sub.add_parser("simulate", help="run one Monte-Carlo session")
-    _add_common(sp, "session.json", formats=("json",), default_format="json")
+    _add_common(sp, "session.json", table=False)
+    sp.add_argument("--workers", type=_positive_int, default=1, help="worker threads; never changes results")
     sp.add_argument("--config", default=None, help="JSON file with flag values; flags override")
-    sp.add_argument("--theta-deg", type=float, default=None)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--test-fraction", type=float, default=None)
-    sp.add_argument("--eta-a", type=float, default=None)
-    sp.add_argument("--eta-b", type=float, default=None)
-    sp.add_argument("--depol", type=float, default=None)
-    sp.add_argument("--attack", choices=("none", "usd"), default=None)
-    sp.add_argument("--abort-threshold", type=float, default=None)
-    sp.add_argument("--chunk-size", type=int, default=None)
+    for key, (kind, _) in _SIMULATE_PARAMS.items():
+        sp.add_argument("--" + key.replace("_", "-"), default=None,
+                        **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
     sp.add_argument("--table-csv", default=None, help="also write the count table as CSV")
     sp.set_defaults(func=cmd_simulate)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +41,13 @@ MAX_CHUNKS = 2 ** 16
 MAX_CHUNK_SIZE = 2 ** 22
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bools and non-integral values are rejected."""
+    if isinstance(value, (bool, np.bool_)) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of one simulated session.
@@ -59,22 +67,20 @@ class SessionConfig:
     chunk_size: int = 65536
 
     def __post_init__(self):
-        if int(self.n_rounds) < 1:
+        for name in ("n_rounds", "seed", "chunk_size"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("test_fraction", "abort_threshold"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be at least 1, got {self.n_rounds!r}")
-        object.__setattr__(self, "n_rounds", int(self.n_rounds))
-        tf = float(self.test_fraction)
-        if not math.isfinite(tf) or not 0.0 < tf < 1.0:
+        if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly inside (0, 1), got {self.test_fraction!r}")
-        object.__setattr__(self, "test_fraction", tf)
-        seed = int(self.seed)
-        if not 0 <= seed < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
-        if not math.isfinite(float(self.abort_threshold)):
+        if not math.isfinite(self.abort_threshold):
             raise ValueError("abort_threshold must be finite")
-        if not 1 <= int(self.chunk_size) <= MAX_CHUNK_SIZE:
+        if not 1 <= self.chunk_size <= MAX_CHUNK_SIZE:
             raise ValueError(f"chunk_size must lie in [1, {MAX_CHUNK_SIZE}], got {self.chunk_size!r}")
-        object.__setattr__(self, "chunk_size", int(self.chunk_size))
         if -(-self.n_rounds // self.chunk_size) > MAX_CHUNKS:
             raise ValueError(f"a session holds at most {MAX_CHUNKS} chunks: n_rounds may be at most "
                              f"{MAX_CHUNKS * self.chunk_size} at chunk_size {self.chunk_size}")
@@ -396,7 +402,7 @@ def _result_from_table(table: CorrelationTable, config: SessionConfig) -> Sessio
     rate = key_rate(n_con, gain)
     f_raw = n_con / n_detected
     reports = []
-    for f_con in (f_raw, n_con / n_detected_z if n_detected_z else f_raw):
+    for f_con in (f_raw, n_con / n_detected_z):
         reports.append(RateReport(
             s_ch=estimate.value,
             s_chsh=4.0 * estimate.value + 2.0,

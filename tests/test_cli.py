@@ -144,6 +144,7 @@ class TestRateCurve:
         ("1.5", "0.75", "exceed 1"),
         ("0.04", "4e-12", "at most"),
         ("0.04", "1e-320", "at most"),
+        ("1e-13", "3e-14", "multiple"),
     ])
     def test_bad_grid_rejected_before_any_solve(self, tmp_path, run_cli, monkeypatch,
                                                 p_max, p_step, message):
@@ -284,6 +285,7 @@ class TestSimulate:
         ({"chunk_size": 64.25}, "chunk_size"),
         ({"attack": None}, "attack"),
         ([60, 100], "JSON object"),
+        ({"eta_a": 10 ** 400}, "eta_a"),
     ])
     def test_config_value_types_rejected(self, tmp_path, run_cli, contents, needle):
         if isinstance(contents, dict):
@@ -351,21 +353,59 @@ class TestAttackDemo:
         schema_validator("attack_demo").validate(json.loads(out.read_text()))
 
 
-SUBCOMMAND_ARGS = {
-    "curve": [], "rate-curve": [], "thresholds": [], "attack-demo": [],
-    "simulate": ["--theta-deg", "60", "--rounds", "100"],
-}
+ANALYTIC_SUBCOMMANDS = ["attack-demo", "curve", "rate-curve", "thresholds"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("subcommand", ["simulate"])
 def test_nonpositive_workers_rejected(tmp_path, run_cli, subcommand, workers):
     out = tmp_path / "out"
-    code, _, err = run_cli(subcommand, *SUBCOMMAND_ARGS[subcommand], "--workers", workers,
+    code, _, err = run_cli(subcommand, "--theta-deg", "60", "--rounds", "100", "--workers", workers,
                            "--output", str(out))
     assert code == 2
     assert "--workers" in err and "positive integer" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    *(pytest.param(name, flag, id=name + flag[0])
+      for name in ANALYTIC_SUBCOMMANDS for flag in (["--workers", "2"], ["--seed", "1"])),
+    pytest.param("thresholds", ["--format", "json"], id="thresholds--format"),
+    pytest.param("simulate", ["--format", "json"], id="simulate--format"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, run_cli, subcommand, flag):
+    out = tmp_path / "out"
+    extra = ["--theta-deg", "60", "--rounds", "100"] if subcommand == "simulate" else []
+    code, _, err = run_cli(subcommand, *extra, *flag, "--output", str(out))
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, argv, parameters, seed", [
+    ("curve", ["--points", "3"],
+     {"points": 3, "theta_min_deg": 1.0, "theta_max_deg": 89.0, "format": "csv"}, None),
+    ("rate-curve", ["--p-max", "0.001", "--p-step", "0.001", "--format", "json"],
+     {"p_max": 0.001, "p_step": 0.001, "format": "json"}, None),
+    ("thresholds", [], {}, None),
+    ("attack-demo", ["--points", "3"],
+     {"points": 3, "theta_min_deg": 1.0, "theta_max_deg": 89.0, "format": "csv"}, None),
+    ("simulate", ["--theta-deg", "60", "--rounds", "100", "--seed", "3"],
+     {"theta_deg": 60.0, "rounds": 100, "test_fraction": 0.25, "eta_a": 1.0, "eta_b": 1.0,
+      "depol": 0.0, "attack": "none", "abort_threshold": 0.0, "chunk_size": 65536, "seed": 3,
+      "workers": 1}, 3),
+], ids=["curve", "rate-curve", "thresholds", "attack-demo", "simulate"])
+def test_manifest_records_the_parameters_read(tmp_path, run_cli, schema_validator,
+                                              subcommand, argv, parameters, seed):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(subcommand, *argv, "--output", str(out))
+    assert code in (0, 3)
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    schema_validator("manifest").validate(manifest)
+    assert manifest["subcommand"] == subcommand
+    assert manifest["parameters"] == parameters
+    assert type(manifest["seed"]) is type(seed) and manifest["seed"] == seed
+    assert [e["path"] for e in manifest["outputs"]] == [str(out)]
 
 
 def declared_console_scripts():

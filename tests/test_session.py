@@ -61,6 +61,7 @@ class TestSessionConfig:
     @pytest.mark.parametrize("kw", [
         {"n_rounds": 0}, {"test_fraction": 0.0}, {"test_fraction": 1.0},
         {"seed": -1}, {"chunk_size": 0}, {"chunk_size": MAX_CHUNK_SIZE + 1},
+        {"n_rounds": 1000.7}, {"n_rounds": True}, {"seed": True}, {"chunk_size": True},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -72,9 +73,8 @@ class TestSessionConfig:
             cfg(n_rounds=MAX_CHUNKS * 7 + 1, chunk_size=7)
 
     def test_json_dict(self):
-        d = cfg(seed=3).to_json_dict()
-        assert d["seed"] == 3
-        assert d["n_rounds"] == 10000
+        d = cfg(seed=np.uint64(3), n_rounds=10000.0, abort_threshold=0).to_json_dict()
+        assert json.dumps([d["seed"], d["n_rounds"], d["abort_threshold"]]) == "[3, 10000, 0.0]"
         assert d["theta"] == pytest.approx(math.pi / 3)
         assert d["theta_degrees"] == pytest.approx(60.0)
         assert d["channel"]["attacker"] == "none"
