@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
@@ -80,6 +81,20 @@ def _write_csv(path: str, header: List[str], rows: List[List[float]]) -> None:
 
 def _fmt(value: float) -> str:
     return "%.12g" % float(value)
+
+
+def _check_writable(*paths: str) -> None:
+    """Raise up front for an output that a later write could not create or would overwrite.
+
+    ``paths[0]`` is the primary output, whose manifest is written beside it.
+    """
+    if len({os.path.realpath(p) for p in (*paths, f"{paths[0]}.manifest.json")}) <= len(paths):
+        raise ValueError(f"outputs must not share a path: {', '.join(paths)}")
+    for path in paths:
+        directory = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.access(path, os.W_OK) if os.path.exists(path)
+                                       else os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise OSError(f"cannot write {path!r}: not a writable file path")
 
 
 def _finish(args, params=None, seed=None, extra=()) -> None:
@@ -238,14 +253,16 @@ def cmd_simulate(args) -> int:
         abort_threshold=params["abort_threshold"],
         chunk_size=params["chunk_size"],
     )
+    extra = () if args.table_csv is None else (args.table_csv,)
+    # a long session must not be lost to an output path that cannot be written
+    _check_writable(args.output, *extra)
     result = run_session(config, workers=args.workers)
     _write_json(args.output, result.to_json_dict())
     if args.table_csv is not None:
         rows = [[*cell, int(n)] for cell, n in np.ndenumerate(result.table.grids)]
         _write_csv(args.table_csv,
                    ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows)
-    _finish(args, {**params, "workers": args.workers}, config.seed,
-            extra=() if args.table_csv is None else (args.table_csv,))
+    _finish(args, {**params, "workers": args.workers}, config.seed, extra=extra)
     return EXIT_INSUFFICIENT if result.insufficient_statistics else EXIT_OK
 
 

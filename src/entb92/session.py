@@ -1,18 +1,21 @@
 """Seeded Monte-Carlo engine for two-party key-distribution sessions.
 
-Each round consumes exactly four uniform variates from a counter-based
-generator keyed by (seed, round index): sender basis choice, receiver basis
-choice, and two outcome draws (the second one only used on attacked rounds,
-where the resent qubit is measured separately). Because the variates for
-round r live at a fixed offset in the keyed stream, any partition of rounds
-into chunks -- and any assignment of chunks to worker threads -- reproduces
-the same per-round outcomes, and the integer tallies merge associatively.
-Results are therefore bit-identical across worker counts.
+Each round consumes exactly four 64-bit words from a counter-based generator
+keyed by (seed, round index): sender basis choice, receiver basis choice,
+and two outcome draws (the second one only used on attacked rounds, where
+the resent qubit is measured separately). With its low 11 bits cleared, a
+word is the variate ``Generator.random()`` would return, scaled by 2^64.
+Because the words for round r live at a fixed offset in the keyed stream,
+any partition of rounds into chunks -- and any assignment of chunks to
+worker threads -- reproduces the same per-round outcomes, and the integer
+tallies merge associatively. Results are therefore bit-identical across
+worker counts.
 
 Round outcomes are sampled from the exact Born cells of ``_born_stages``,
 which ``born_table`` also returns, precomputed once per session as two CDF
-tables. One decode turns a round's variates into its cell;
-the chunked tally and the scalar ``sample_round`` both run it.
+tables and their integer thresholds ``ceil(cdf * 2^64)``. One decode turns
+a round's words into its cell by a guide-table lookup; the chunked tally
+and the scalar ``sample_round`` both run it.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ from .states import ProtocolAngle
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 # MAX_CHUNKS only bounds the session length: memory does not grow with the chunk
-# count. A chunk in flight holds about 58 B per round, near 240 MB at MAX_CHUNK_SIZE.
+# count. A chunk in flight holds 45-48 B per round, up to about 190 MB at MAX_CHUNK_SIZE.
 MAX_CHUNKS = 2 ** 16
 MAX_CHUNK_SIZE = 2 ** 22
+# a word's top 12 bits pick its guide-table bucket; _MIXED flags a bucket a threshold splits
+_GUIDE_SHIFT, _BUCKETS, _MIXED = 52, 4096, 0x80
+_HALF = np.uint64(1 << 63)
+_WORD_BITS = ~np.uint64(0x7FF)  # the 53 bits Generator.random() keeps
 
 
 def _integer(name: str, value) -> int:
@@ -238,11 +245,12 @@ class _Distributions:
 
     ``stage1`` holds one CDF per basis pair ``2i + j`` (the 12-cell joint of
     sender row and attacker branch e on attacked sessions); ``stage2``, None
-    without an attacker, one receiver CDF per ``2e + j``. Both are read-only,
-    so one instance can serve many callers.
+    without an attacker, one receiver CDF per ``2e + j``, from row 4 of the
+    ``_word_tables`` ``guide`` and ``bounds``; the sender measures X on a word
+    below ``basis``. All are read-only, so one instance can serve many callers.
     """
 
-    __slots__ = ("test_fraction", "stage1", "stage2")
+    __slots__ = ("test_fraction", "stage1", "stage2", "basis", "guide", "bounds")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
         self.test_fraction = test_fraction
@@ -255,6 +263,39 @@ class _Distributions:
             stage2.setflags(write=False)
         self.stage1.setflags(write=False)
         self.stage2 = stage2
+        self.basis = np.uint64(math.ceil(test_fraction * 2.0 ** 64))
+        rows = self.stage1 if stage2 is None else np.ones((12, 12))  # pads with entries no word reaches
+        if stage2 is not None:
+            rows[:4], rows[4:, :2] = self.stage1, stage2[:, :2]
+        self.guide, self.bounds = _word_tables(rows)
+
+
+def _word_tables(cum: np.ndarray):
+    """Guide table and integer thresholds of a table of CDF rows.
+
+    Threshold ``ceil(c * 2^64)`` is the least word w with c <= w * 2^-64; the
+    last column and entries >= 1 get the all-ones word, which no masked word
+    reaches. A word's cell, the count of its row's thresholds <= it, is then
+    the clipped ``searchsorted(row, u, side="right")``. Guide entry b is that
+    count at the bucket's first word ``b << 52``, or'ed with ``_MIXED`` when a
+    threshold falls later in the bucket.
+    """
+    scaled = np.ceil(cum * 2.0 ** 64)
+    scaled[:, -1] = 2.0 ** 64
+    over = scaled >= 2.0 ** 64
+    bounds = np.where(over, 0.0, scaled).astype(np.uint64)
+    bounds[over] = ~np.uint64(0)
+    # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(t / 2^52), to that of k
+    first = np.ceil(cum * float(_BUCKETS))
+    first[over] = _BUCKETS
+    spans = first.astype(np.intp)
+    spans[:, 1:] -= spans[:, :-1].copy()
+    guide = np.broadcast_to(np.arange(cum.shape[1], dtype=np.uint8), cum.shape).repeat(spans.ravel())
+    inside = (scaled != first * 2.0 ** _GUIDE_SHIFT) & ~over
+    guide[(first[inside] - 1).astype(np.intp) + np.nonzero(inside)[0] * _BUCKETS] |= _MIXED
+    guide.setflags(write=False)
+    bounds.setflags(write=False)
+    return guide.reshape(len(cum), _BUCKETS), bounds
 
 
 @functools.lru_cache(maxsize=16)
@@ -264,42 +305,49 @@ def _shared_distributions(angle: ProtocolAngle, channel: ChannelModel,
     return _Distributions(angle, channel, test_fraction)
 
 
-def _decode(u: np.ndarray, cum: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Per-row ``min(searchsorted(cum[key], u, side="right"), C - 1)``.
+def _search(word: np.ndarray, row: np.ndarray, dist: _Distributions) -> np.ndarray:
+    """How many thresholds of its CDF row are <= each word: the guide's count, stepped on in split buckets."""
+    key = np.right_shift(word, _GUIDE_SHIFT, out=np.empty(len(word), np.uint16), casting="unsafe")
+    key |= row.astype(np.uint16) << (64 - _GUIDE_SHIFT)
+    cell = dist.guide.take(key)
+    slow = np.flatnonzero(cell >= _MIXED)
+    if slow.size:
+        found, words = cell[slow] ^ _MIXED, word[slow]
+        first = row[slow].astype(np.intp) * dist.bounds.shape[1]
+        while (step := words >= dist.bounds.take(first + found)).any():
+            found += step
+        cell[slow] = found
+    return cell
 
-    CDF rows are nondecreasing, so the clipped insertion point is the number
-    of the row's entries <= u among all but its last column.
-    """
-    idx = np.zeros(len(u), dtype=np.intp)
-    for c in range(cum.shape[1] - 1):
-        idx += cum[:, c].take(key) <= u
-    return idx
 
-
-def _decode_rounds(uniforms: np.ndarray, dist: _Distributions):
+def _decode_rounds(words: np.ndarray, dist: _Distributions):
     """Cell ``9 * (2i + j) + 3 * row + col`` of each round, and its stage-2 key.
 
-    ``uniforms`` holds one row of four variates per round. The stage-2 key
-    is ``2e + j`` for attacker branch ``e``, or None on attack-free sessions.
+    ``words`` holds four words per round; float variates in [0, 1) are scaled
+    by 2^64, exactly on the 2^-53 grid of ``Generator.random()``. The stage-2
+    key is ``2e + j`` for attacker branch ``e``, or None without an attacker.
+    Per-round arrays stay uint8/uint16: round-length intp temporaries let
+    malloc trim the heap and fault it back in on every chunk.
     """
-    j = uniforms[:, 1] >= 0.5
-    pair = (uniforms[:, 0] < dist.test_fraction).astype(np.intp) * 2 + j
-    cell = _decode(uniforms[:, 2], dist.stage1, pair)
+    if words.dtype != np.uint64:
+        words = (words * 2.0 ** 64).astype(np.uint64)
+    j = (words[:, 1] >= _HALF).view(np.uint8)
+    pair = (words[:, 0] < dist.basis).view(np.uint8) * 2 + j
+    cell = _search(words[:, 2], pair, dist)
     pair *= 9
     if dist.stage2 is None:
-        return cell + pair, None
-    # cell is 4 * row + e. Holding 9 * pair + 3 * row in one byte keeps at
-    # most three round-length intp arrays live: a higher peak per chunk lets
-    # malloc trim the heap and fault it back in on every chunk.
-    pair += (cell >> 2) * 3
-    pair = pair.astype(np.uint8)
-    cell = (cell & 3) * 2 + j
-    return _decode(uniforms[:, 3], dist.stage2, cell) + pair, cell
+        cell += pair
+        return cell, None
+    pair += (cell >> 2) * 3  # cell is 4 * row + e
+    key = (cell & 3) * 2 + j
+    cell = _search(words[:, 3], key + 4, dist)
+    cell += pair
+    return cell, key
 
 
-def _tally_chunk(uniforms: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """Count-mode (2,2,3,3) tally for one block of per-round uniform draws."""
-    cell, _ = _decode_rounds(uniforms, dist)
+def _tally_chunk(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
+    """Count-mode (2,2,3,3) tally for one block of per-round words or uniform draws."""
+    cell, _ = _decode_rounds(variates, dist)
     return np.bincount(cell, minlength=36).reshape(2, 2, 3, 3)
 
 
@@ -309,18 +357,11 @@ def _record_from_cells(i: int, j: int, row: int, col: int, eve: Optional[int]) -
         outcome: object = "vacuum"
     else:
         outcome = row if i == 0 else 1 - row  # X target row holds outcome 1
-    bob_outcome = _BOB_OUTCOMES[col]
     key_bit = None
     if basis == "Z" and row < 2 and col == 0:
         key_bit = (row, 1 - j)  # conclusive in B_j decodes j XOR 1
-    return RoundRecord(
-        alice_basis=basis,
-        alice_outcome=outcome,
-        bob_basis=j,
-        bob_outcome=bob_outcome,
-        key_bit=key_bit,
-        eve_outcome=eve,
-    )
+    return RoundRecord(alice_basis=basis, alice_outcome=outcome, bob_basis=j,
+                       bob_outcome=_BOB_OUTCOMES[col], key_bit=key_bit, eve_outcome=eve)
 
 
 def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> RoundRecord:
@@ -368,15 +409,9 @@ def sift(records) -> SiftSummary:
     uses simulator omniscience; only the error fraction feeds the rate.
     """
     records = list(records)
-    bits: List[int] = []
-    n_err = 0
-    for r in records:
-        if r.key_bit is None:
-            continue
-        sent, decoded = r.key_bit
-        bits.append(sent)
-        if sent != decoded:
-            n_err += 1
+    pairs = [r.key_bit for r in records if r.key_bit is not None]
+    bits = [sent for sent, _ in pairs]
+    n_err = sum(sent != decoded for sent, decoded in pairs)
     return SiftSummary(key_bits=bits, n_con=len(bits), n_err=n_err, table=estimate_table(records))
 
 
@@ -388,37 +423,21 @@ def _result_from_table(table: CorrelationTable, config: SessionConfig) -> Sessio
     n_err = int(g[0, 0, 0, 0] + g[0, 1, 1, 0])
     insufficient = n_con == 0 or bool(np.any(table.totals == 0))
     if insufficient:
-        return SessionResult(
-            config=config, table=table, s_ch_estimate=None, qber=None,
-            n_con=n_con, n_err=n_err, n_detected=n_detected,
-            rate_report=None, rate_report_extrapolated=None,
-            aborted=True, insufficient_statistics=True,
-        )
+        return SessionResult(config=config, table=table, s_ch_estimate=None, qber=None, n_con=n_con,
+                             n_err=n_err, n_detected=n_detected, rate_report=None,
+                             rate_report_extrapolated=None, aborted=True, insufficient_statistics=True)
     estimate = ch_value(table)
     qber = n_err / n_con
     # finite-sample estimates can stray outside the gain formula's domain
     s_eff = min(max(estimate.value, _CH_DOMAIN_LO), CH_QUANTUM_MAX)
     gain = gain_from_ch(s_eff, qber)
     rate = key_rate(n_con, gain)
-    f_raw = n_con / n_detected
-    reports = []
-    for f_con in (f_raw, n_con / n_detected_z):
-        reports.append(RateReport(
-            s_ch=estimate.value,
-            s_chsh=4.0 * estimate.value + 2.0,
-            qber=qber,
-            conclusive_fraction=f_con,
-            gain=gain,
-            rate=rate,
-            normalized_rate=f_con * gain,
-        ))
-    return SessionResult(
-        config=config, table=table, s_ch_estimate=estimate, qber=qber,
-        n_con=n_con, n_err=n_err, n_detected=n_detected,
-        rate_report=reports[0], rate_report_extrapolated=reports[1],
-        aborted=bool(estimate.value <= config.abort_threshold),
-        insufficient_statistics=False,
-    )
+    raw, extrapolated = (RateReport(s_ch=estimate.value, s_chsh=4.0 * estimate.value + 2.0, qber=qber,
+                                    conclusive_fraction=f_con, gain=gain, rate=rate, normalized_rate=f_con * gain)
+                         for f_con in (n_con / n_detected, n_con / n_detected_z))
+    return SessionResult(config=config, table=table, s_ch_estimate=estimate, qber=qber, n_con=n_con,
+                         n_err=n_err, n_detected=n_detected, rate_report=raw, rate_report_extrapolated=extrapolated,
+                         aborted=bool(estimate.value <= config.abort_threshold), insufficient_statistics=False)
 
 
 def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
@@ -427,7 +446,7 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     Rounds are processed in chunks of ``config.chunk_size``; ``workers`` > 1
     runs at most one thread per chunk and per CPU, each taking the next chunk
     as it frees up into one running tally. Neither parameter can change any
-    count: each round's variates come from its own counter block.
+    count: each round's words come from its own counter block.
     """
     if int(workers) < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
@@ -437,8 +456,9 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
 
     def tally(start: int) -> np.ndarray:
         n = min(config.chunk_size, config.n_rounds - start)
-        gen = np.random.Generator(np.random.Philox(key=config.seed, counter=start))
-        return _tally_chunk(gen.random(4 * n).reshape(n, 4), dist)
+        words = np.random.Philox(key=config.seed, counter=start).random_raw(4 * n).reshape(n, 4)
+        words &= _WORD_BITS  # now exactly Generator.random() * 2^64
+        return _tally_chunk(words, dist)
 
     chunks, lock = iter(starts), threading.Lock()
 

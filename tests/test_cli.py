@@ -314,6 +314,32 @@ class TestSimulate:
         assert message in err
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("bad", ["output", "table_csv"])
+    def test_unwritable_output_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch, bad):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("generator built before the outputs were checked")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        paths = {"output": tmp_path / "o.json", "table_csv": tmp_path / "t.csv"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "100",
+                               "--output", str(paths["output"]), "--table-csv", str(paths["table_csv"]))
+        assert code == 2
+        assert str(paths[bad]) in err
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("table", ["o.json", "o.json.manifest.json"])
+    def test_colliding_outputs_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch, table):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("generator built before the outputs were checked")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "100",
+                               "--output", str(tmp_path / "o.json"), "--table-csv", str(tmp_path / table))
+        assert code == 2
+        assert "must not share a path" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_table_csv_side_output(self, tmp_path, run_cli):
         out = tmp_path / "s.json"
         side = tmp_path / "table.csv"

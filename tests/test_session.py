@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +218,117 @@ class TestDecodeKernel:
         total = np.zeros((2, 2, 3, 3), dtype=np.int64)
         np.add.at(total, tuple(np.array(want).T), 1)
         np.testing.assert_array_equal(_tally_chunk(uniforms, dist), total)
+
+
+ALL_ONES = 2 ** 64 - 1
+# zero-probability cells (eta = 1, eta = 0, p = 0), CDF rows whose sum
+# rounds to 1 - 2^-53 ("short-rows") and, in the "crowded" settings, guide
+# buckets that two or more distinct thresholds split
+WORD_CHANNELS = {
+    "ideal": ChannelModel(),
+    "short-rows": ChannelModel(eta_a=0.9, eta_b=0.95, depol_p=0.03),
+    "eta-0": ChannelModel(eta_a=0.0, eta_b=0.0),
+    "eta-b-0": ChannelModel(eta_a=0.8, eta_b=0.0, depol_p=0.03),
+    "attacked-p-0": ChannelModel(attacker="usd"),
+    "attacked-eta-a-0": ChannelModel(eta_a=0.0, attacker="usd"),
+    "crowded": ChannelModel(eta_a=0.99999, eta_b=0.99998, depol_p=1e-5),
+    "crowded-attacked": ChannelModel(eta_a=0.9999, attacker="usd"),
+}
+
+
+def exact_thresholds(row):
+    """Least word w with c <= w * 2^-64, for every entry c but the last, in exact rationals."""
+    return [math.ceil(Fraction(float(c)) * 2 ** 64) for c in row[:-1]]
+
+
+def threshold_words(dist):
+    """Words t - 1, t and t + 1 at every threshold of both stages, and 0 and 2^64 - 2.
+
+    The all-ones word is the kernel's unreachable threshold; no word with
+    random()'s low 11 bits cleared is all ones.
+    """
+    rows = [row for table in (dist.stage1, dist.stage2) if table is not None for row in table]
+    ts = {t for row in rows for t in exact_thresholds(row)}
+    words = {w + d for w in ts for d in (-1, 0, 1)} | {0, ALL_ONES - 1}
+    return sorted(w for w in words if 0 <= w < ALL_ONES)
+
+
+class TestWordKernel:
+    """The integer decode against exact rationals and against the float decode."""
+
+    @pytest.mark.parametrize("key", [0, 7, 2 ** 63 + 12345, ALL_ONES])
+    @pytest.mark.parametrize("counter", [0, 7001, 3 * 2 ** 22 + 5])
+    def test_random_is_raw_word_without_low_11_bits(self, key, counter):
+        # the contract run_session relies on: Generator.random() * 2^64 is the
+        # raw Philox word with its low 11 bits cleared
+        floats = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(4096)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(4096)
+        np.testing.assert_array_equal((floats * 2.0 ** 64).astype(np.uint64), raw & ~np.uint64(0x7FF))
+
+    @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
+    def test_search_counts_exact_thresholds(self, channel):
+        dist = _Distributions(ANG, channel, 0.25)
+        if channel == WORD_CHANNELS["short-rows"]:
+            assert dist.stage1[:, -1].min() == np.nextafter(1.0, 0.0)
+        words = threshold_words(dist)
+        # the receiver rows follow the four sender rows
+        rows = [*dist.stage1, *([] if dist.stage2 is None else dist.stage2)]
+        for r, row in enumerate(rows):
+            ts = exact_thresholds(row)
+            want = [sum(t <= w for t in ts) for w in words]
+            got = session._search(np.array(words, dtype=np.uint64), np.full(len(words), r, np.uint8), dist)
+            assert got.tolist() == want, (r, row)
+
+    @pytest.mark.parametrize("name", ["crowded", "crowded-attacked"])
+    def test_crowded_settings_split_a_bucket_twice(self, name):
+        # some bucket holds two distinct thresholds past its first word, so
+        # the fallback steps more than once for the words above both
+        stage1 = _Distributions(ANG, WORD_CHANNELS[name], 0.25).stage1
+        splits = {}
+        for r, row in enumerate(stage1):
+            for t in set(exact_thresholds(row)):
+                if t < ALL_ONES and t % 2 ** 52:
+                    splits.setdefault((r, t >> 52), set()).add(t)
+        assert max(map(len, splits.values())) >= 2
+
+    @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
+    def test_masked_raw_words_match_float_decode(self, channel, monkeypatch):
+        # run_session on crafted raw words, including words that differ only in
+        # the 11 bits random() drops, against the float decode of random()
+        dist = _Distributions(ANG, channel, 0.25)
+        words = threshold_words(dist)
+        words += [w ^ 0x7FF for w in words] + [w | 0x400 for w in words]
+        basis = [2 ** 62 + d for d in (-2048, -1, 0, 1, 0x7FF)]
+        half = [2 ** 63 + d for d in (-1, 0, 0x7FF)]
+        w3s = [0] if dist.stage2 is None else words
+        grid = np.meshgrid(basis, half, np.array(words, dtype=np.uint64),
+                           np.array(w3s, dtype=np.uint64)[:: max(1, len(w3s) // 40)], indexing="ij")
+        raw = np.stack([np.asarray(g, dtype=np.uint64).ravel() for g in grid], axis=1)
+
+        class CraftedPhilox:
+            def __init__(self, key, counter):
+                self.counter = counter
+
+            def random_raw(self, size):
+                return raw.ravel()[4 * self.counter:4 * self.counter + size].copy()
+
+        monkeypatch.setattr(np.random, "Philox", CraftedPhilox)
+        res = run_session(SessionConfig(angle=ANG, n_rounds=len(raw), channel=channel, chunk_size=997))
+        want = np.zeros((2, 2, 3, 3), dtype=np.int64)
+        np.add.at(want, tuple(np.array(searchsorted_cells((raw >> 11) * 2.0 ** -53, dist)).T), 1)
+        np.testing.assert_array_equal(res.table.grids, want)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")
+    def test_session_does_not_refault_its_heap(self):
+        # per-chunk temporaries above the heap's trim threshold are returned to
+        # the system and faulted back in on every chunk
+        import resource
+
+        config = cfg(n_rounds=2 ** 20, seed=5, channel=ChannelModel(eta_b=0.9, depol_p=0.02))
+        run_session(config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_session(config)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def pipeline_cdfs(angle, channel):
