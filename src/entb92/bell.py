@@ -29,7 +29,6 @@ from .channels import ChannelModel, JointState, lossy_povm
 from .qcore import DensityMatrix, Operator, Povm, born_probabilities
 from .states import SettingPairSpec
 
-OUTCOME_LABELS = ("target", "orthogonal", "vacuum")
 PAIR_KEYS = ("00", "01", "10", "11")
 
 # largest s for which the gain expression 1 - 4s - 4s^2 stays nonnegative

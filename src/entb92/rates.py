@@ -61,8 +61,7 @@ class RateReport:
     normalized_rate: float
 
     def __post_init__(self):
-        if not all(math.isfinite(getattr(self, f)) for f in
-                   ("s_ch", "s_chsh", "qber", "conclusive_fraction", "gain", "rate", "normalized_rate")):
+        if not all(math.isfinite(v) for v in vars(self).values()):
             raise ValueError("rate report fields must be finite")
         if not -_SLACK <= self.qber <= 1.0 + _SLACK:
             raise ValueError(f"qber must lie in [0, 1], got {self.qber!r}")
@@ -74,15 +73,7 @@ class RateReport:
             raise ValueError("normalized_rate cannot exceed conclusive_fraction")
 
     def to_json_dict(self) -> dict:
-        return {
-            "s_ch": self.s_ch,
-            "s_chsh": self.s_chsh,
-            "qber": self.qber,
-            "conclusive_fraction": self.conclusive_fraction,
-            "gain": self.gain,
-            "rate": self.rate,
-            "normalized_rate": self.normalized_rate,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -102,12 +93,7 @@ class ThresholdResult:
             raise ValueError("tolerance must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "value": self.value,
-            "bracket": list(self.bracket),
-            "tolerance": self.tolerance,
-        }
+        return {**vars(self), "bracket": list(self.bracket)}
 
 
 def binary_entropy(q: float) -> float:
@@ -166,9 +152,10 @@ def depolarized_ch(s_ch: float, p: float) -> float:
     The map shrinks every receiver-side Bloch vector by (1 - 4p/3), which
     turns any rank-1-settings value s into (1 - 4p/3) s - 2p/3. Fully
     depolarizing (p = 3/4) lands on -1/2, the value of uncorrelated noise.
+    Works elementwise on arrays.
     """
     p = _check_depol(p)
-    return (1.0 - 4.0 * p / 3.0) * float(s_ch) - 2.0 * p / 3.0
+    return (1.0 - 4.0 * p / 3.0) * s_ch - 2.0 * p / 3.0
 
 
 def _as_angle(theta) -> ProtocolAngle:
@@ -195,25 +182,29 @@ def _key_round_weights(theta, phi, p: float):
     return same, diff
 
 
+def _setting(theta, strategy: str):
+    """(phi, dphi/dtheta, clean S_CH, dS_CH/dtheta) of a strategy at source angle theta.
+
+    The receiver's setting angle phi is theta for ``fixed_settings`` and
+    atan(sin theta) for ``ch_max``; the clean Bell value is the analytic_ch /
+    analytic_ch_max curve. Works elementwise on arrays.
+    """
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    if strategy == "fixed_settings":
+        return theta, 1.0, 0.5 * cos_t * (1.0 - cos_t), 0.5 * sin_t * (2.0 * cos_t - 1.0)
+    root = np.sqrt(sin_t * sin_t + 1.0)
+    return np.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
+
+
 def _closed_form(theta, p: float, strategy: str):
     """(S_CH, QBER, conclusive fraction) at source angle theta, a float or an array.
 
-    The receiver's setting angle phi is theta for ``fixed_settings`` and
-    atan(sin theta) for ``ch_max``; the Bell value is the depolarized
-    analytic_ch / analytic_ch_max curve, Q = same/(same + diff) and the
-    conclusive fraction is (same + diff)/2.
+    The Bell value is the depolarized clean value of ``_setting``,
+    Q = same/(same + diff) and the conclusive fraction is (same + diff)/2.
     """
-    if strategy == "fixed_settings":
-        c = np.cos(theta)
-        s_clean = 0.5 * c * (1.0 - c)
-        phi = theta
-    else:
-        sin_t = np.sin(theta)
-        s_clean = 0.5 * (np.sqrt(sin_t * sin_t + 1.0) - 1.0)
-        phi = np.arctan(sin_t)
+    phi, _, s_clean, _ = _setting(theta, strategy)
     same, diff = _key_round_weights(theta, phi, p)
-    s = (1.0 - 4.0 * p / 3.0) * s_clean - 2.0 * p / 3.0
-    return s, same / (same + diff), 0.5 * (same + diff)
+    return depolarized_ch(s_clean, p), same / (same + diff), 0.5 * (same + diff)
 
 
 def qber_and_conclusive(theta, channel: ChannelModel, bob_theta: Optional[float] = None):
@@ -302,23 +293,30 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
     settings on a noiseless channel, where Q vanishes identically.
     """
     d = 1.0 - 4.0 * p / 3.0
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    if strategy == "fixed_settings":
-        phi, dphi = theta, 1.0
-        ds_clean = 0.5 * sin_t * (2.0 * cos_t - 1.0)
-    else:
-        phi, dphi = math.atan(sin_t), cos_t / (1.0 + sin_t * sin_t)
-        ds_clean = 0.5 * sin_t * cos_t / math.sqrt(sin_t * sin_t + 1.0)
-    s, q, _ = _closed_form(theta, p, strategy)
+    phi, dphi, s_clean, ds_clean = _setting(theta, strategy)
+    s = depolarized_ch(s_clean, p)
+    same, diff = _key_round_weights(theta, phi, p)
+    q = same / (same + diff)
     r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
     slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (math.log(2.0) * r * (1.0 + r))
     if q > 0.0:
-        same, diff = _key_round_weights(theta, phi, p)
         d_same = 0.5 * d * math.sin(phi - theta) * (dphi - 1.0)
         d_diff = 0.5 * d * math.sin(phi + theta) * (dphi + 1.0)
         dq = (d_same * diff - same * d_diff) / (same + diff) ** 2
         slope -= math.log2((1.0 - q) / q) * dq
     return slope
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
+    """Bisect a sign change of f, with f(a) > 0 >= f(b), until [a, b] holds two adjacent floats."""
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if f(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return a, b
 
 
 def optimal_theta(p: float, strategy: str = "fixed_settings"):
@@ -336,21 +334,13 @@ def optimal_theta(p: float, strategy: str = "fixed_settings"):
     p = _check_depol(p)
     s, q, _ = _closed_form(_THETA_GRID, p, strategy)
     i = int(np.argmax(_gain_array(s, q)))
-    a = float(_THETA_GRID[max(i - 1, 0)])
-    b = float(_THETA_GRID[min(i + 1, len(_THETA_GRID) - 1)])
+    a, b = map(float, _THETA_GRID[[max(i - 1, 0), min(i + 1, len(_THETA_GRID) - 1)]])
     if _gain_slope(a, p, strategy) <= 0.0:
         theta_star = a  # gain falls from the low end of the scan range
     elif _gain_slope(b, p, strategy) > 0.0:
         theta_star = b  # gain rises to the high end of the scan range
     else:
-        mid = 0.5 * (a + b)
-        while a < mid < b:
-            if _gain_slope(mid, p, strategy) > 0.0:
-                a = mid
-            else:
-                b = mid
-            mid = 0.5 * (a + b)
-        theta_star = a
+        theta_star = _bisect(lambda theta: _gain_slope(theta, p, strategy), a, b)[0]
     return theta_star, normalized_rate(theta_star, p, strategy)
 
 
@@ -372,13 +362,7 @@ def max_depolarization(strategy: str = "fixed_settings") -> ThresholdResult:
         raise ValueError("no positive rate at zero noise; bracket invalid")
     if not g(b) < 0.0:
         raise ValueError("rate still positive at the upper bracket edge")
-    mid = 0.5 * (a + b)
-    while a < mid < b:
-        if g(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-        mid = 0.5 * (a + b)
+    a, b = _bisect(g, a, b)
     return ThresholdResult(parameter="depol_p", value=a, bracket=(a, b), tolerance=b - a)
 
 

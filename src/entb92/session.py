@@ -98,12 +98,7 @@ class SessionConfig:
             "theta_degrees": self.angle.degrees,
             "n_rounds": self.n_rounds,
             "test_fraction": self.test_fraction,
-            "channel": {
-                "eta_a": self.channel.eta_a,
-                "eta_b": self.channel.eta_b,
-                "depol_p": self.channel.depol_p,
-                "attacker": self.channel.attacker,
-            },
+            "channel": dict(vars(self.channel)),
             "seed": self.seed,
             "abort_threshold": self.abort_threshold,
             "chunk_size": self.chunk_size,
@@ -176,10 +171,7 @@ class SessionResult:
         return {
             "config": self.config.to_json_dict(),
             "table": self.table.to_json_dict(),
-            "s_ch_estimate": None if self.s_ch_estimate is None else {
-                "value": self.s_ch_estimate.value,
-                "standard_error": self.s_ch_estimate.standard_error,
-            },
+            "s_ch_estimate": None if self.s_ch_estimate is None else dict(vars(self.s_ch_estimate)),
             "qber": self.qber,
             "n_con": self.n_con,
             "n_err": self.n_err,
@@ -256,17 +248,16 @@ class _Distributions:
         self.test_fraction = test_fraction
         stage1, stage2 = _born_stages(angle, channel)
         if stage2 is None:
-            self.stage1 = np.cumsum(stage1.reshape(4, 9), axis=1)
+            self.stage1 = rows = np.cumsum(stage1.reshape(4, 9), axis=1)
         else:
             self.stage1 = np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0)
             stage2 = np.cumsum(stage2, axis=2).reshape(8, 3)
             stage2.setflags(write=False)
+            rows = np.ones((12, 12))  # pads with entries no word reaches
+            rows[:4], rows[4:, :2] = self.stage1, stage2[:, :2]
         self.stage1.setflags(write=False)
         self.stage2 = stage2
         self.basis = np.uint64(math.ceil(test_fraction * 2.0 ** 64))
-        rows = self.stage1 if stage2 is None else np.ones((12, 12))  # pads with entries no word reaches
-        if stage2 is not None:
-            rows[:4], rows[4:, :2] = self.stage1, stage2[:, :2]
         self.guide, self.bounds = _word_tables(rows)
 
 
@@ -278,21 +269,21 @@ def _word_tables(cum: np.ndarray):
     reaches. A word's cell, the count of its row's thresholds <= it, is then
     the clipped ``searchsorted(row, u, side="right")``. Guide entry b is that
     count at the bucket's first word ``b << 52``, or'ed with ``_MIXED`` when a
-    threshold falls later in the bucket.
+    reachable threshold falls later in the bucket, ``t >> 52``.
     """
     scaled = np.ceil(cum * 2.0 ** 64)
     scaled[:, -1] = 2.0 ** 64
     over = scaled >= 2.0 ** 64
     bounds = np.where(over, 0.0, scaled).astype(np.uint64)
     bounds[over] = ~np.uint64(0)
-    # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(t / 2^52), to that of k
-    first = np.ceil(cum * float(_BUCKETS))
-    first[over] = _BUCKETS
-    spans = first.astype(np.intp)
-    spans[:, 1:] -= spans[:, :-1].copy()
-    guide = np.broadcast_to(np.arange(cum.shape[1], dtype=np.uint8), cum.shape).repeat(spans.ravel())
-    inside = (scaled != first * 2.0 ** _GUIDE_SHIFT) & ~over
-    guide[(first[inside] - 1).astype(np.intp) + np.nonzero(inside)[0] * _BUCKETS] |= _MIXED
+    # flat guide index of each threshold's bucket
+    bucket = (bounds >> _GUIDE_SHIFT).astype(np.intp) + np.arange(len(cum))[:, None] * _BUCKETS
+    inside = (bounds << (64 - _GUIDE_SHIFT)) != 0
+    # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(t / 2^52), to that of k;
+    # a row's all-ones last threshold ends it at the start of the next row
+    first = (bucket + inside).ravel()
+    guide = np.tile(np.arange(cum.shape[1], dtype=np.uint8), len(cum)).repeat(first - np.append(0, first[:-1]))
+    guide[bucket[inside & ~over]] |= _MIXED
     guide.setflags(write=False)
     bounds.setflags(write=False)
     return guide.reshape(len(cum), _BUCKETS), bounds
@@ -422,22 +413,21 @@ def _result_from_table(table: CorrelationTable, config: SessionConfig) -> Sessio
     n_con = int(g[0, :, 0:2, 0].sum())
     n_err = int(g[0, 0, 0, 0] + g[0, 1, 1, 0])
     insufficient = n_con == 0 or bool(np.any(table.totals == 0))
-    if insufficient:
-        return SessionResult(config=config, table=table, s_ch_estimate=None, qber=None, n_con=n_con,
-                             n_err=n_err, n_detected=n_detected, rate_report=None,
-                             rate_report_extrapolated=None, aborted=True, insufficient_statistics=True)
-    estimate = ch_value(table)
-    qber = n_err / n_con
-    # finite-sample estimates can stray outside the gain formula's domain
-    s_eff = min(max(estimate.value, _CH_DOMAIN_LO), CH_QUANTUM_MAX)
-    gain = gain_from_ch(s_eff, qber)
-    rate = key_rate(n_con, gain)
-    raw, extrapolated = (RateReport(s_ch=estimate.value, s_chsh=4.0 * estimate.value + 2.0, qber=qber,
-                                    conclusive_fraction=f_con, gain=gain, rate=rate, normalized_rate=f_con * gain)
-                         for f_con in (n_con / n_detected, n_con / n_detected_z))
+    estimate = qber = raw = extrapolated = None
+    if not insufficient:
+        estimate = ch_value(table)
+        qber = n_err / n_con
+        # finite-sample estimates can stray outside the gain formula's domain
+        s_eff = min(max(estimate.value, _CH_DOMAIN_LO), CH_QUANTUM_MAX)
+        gain = gain_from_ch(s_eff, qber)
+        rate = key_rate(n_con, gain)
+        raw, extrapolated = (RateReport(s_ch=estimate.value, s_chsh=4.0 * estimate.value + 2.0, qber=qber,
+                                        conclusive_fraction=f_con, gain=gain, rate=rate, normalized_rate=f_con * gain)
+                             for f_con in (n_con / n_detected, n_con / n_detected_z))
     return SessionResult(config=config, table=table, s_ch_estimate=estimate, qber=qber, n_con=n_con,
                          n_err=n_err, n_detected=n_detected, rate_report=raw, rate_report_extrapolated=extrapolated,
-                         aborted=bool(estimate.value <= config.abort_threshold), insufficient_statistics=False)
+                         aborted=insufficient or bool(estimate.value <= config.abort_threshold),
+                         insufficient_statistics=insufficient)
 
 
 def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
@@ -448,11 +438,12 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     as it frees up into one running tally. Neither parameter can change any
     count: each round's words come from its own counter block.
     """
-    if int(workers) < 1:
+    workers = _integer("workers", workers)
+    if workers < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
     dist = _Distributions(config.angle, config.channel, config.test_fraction)
     starts = range(0, config.n_rounds, config.chunk_size)
-    threads = min(int(workers), len(starts), os.cpu_count() or 1)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
 
     def tally(start: int) -> np.ndarray:
         n = min(config.chunk_size, config.n_rounds - start)

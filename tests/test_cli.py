@@ -378,6 +378,13 @@ class TestAttackDemo:
         assert code == 0
         schema_validator("attack_demo").validate(json.loads(out.read_text()))
 
+    def test_default_csv_is_pinned(self, tmp_path, run_cli):
+        # the golden file was written by the default invocation and is kept byte for byte
+        out = tmp_path / "attack_demo.csv"
+        assert run_cli("attack-demo", "--output", str(out))[0] == 0
+        golden = Path(__file__).parent / "fixtures" / "attack_demo_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 ANALYTIC_SUBCOMMANDS = ["attack-demo", "curve", "rate-curve", "thresholds"]
 

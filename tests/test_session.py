@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import os
@@ -292,6 +293,21 @@ class TestWordKernel:
         assert max(map(len, splits.values())) >= 2
 
     @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
+    def test_every_guide_bucket_matches_its_definition(self, channel):
+        # entry b counts the thresholds <= the bucket's first word b << 52 and is
+        # flagged exactly when that count changes by the bucket's last word
+        dist = _Distributions(ANG, channel, 0.25)
+        rows = [*dist.stage1, *([] if dist.stage2 is None else dist.stage2)]
+        assert dist.guide.shape == (len(rows), 4096)
+        for r, row in enumerate(rows):
+            ts = sorted(exact_thresholds(row))
+            at = [bisect.bisect_right(ts, b << 52) for b in range(4097)]
+            last = [bisect.bisect_right(ts, ((b + 1) << 52) - 1) for b in range(4096)]
+            guide = dist.guide[r].tolist()
+            assert [g & 0x7F for g in guide] == at[:-1], r
+            assert [g >= 0x80 for g in guide] == [n != c for n, c in zip(last, at)], r
+
+    @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
     def test_masked_raw_words_match_float_decode(self, channel, monkeypatch):
         # run_session on crafted raw words, including words that differ only in
         # the 11 bits random() drops, against the float decode of random()
@@ -454,6 +470,16 @@ class TestRunSession:
         b = run_session(config, workers=4)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == \
             json.dumps(b.to_json_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("workers", [2.5, True, 0.0, -1])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_session(cfg(n_rounds=100), workers=workers)
+
+    def test_numpy_integer_workers(self):
+        config = cfg(n_rounds=20000, seed=3, chunk_size=4096)
+        a, b = run_session(config, workers=np.int64(2)), run_session(config, workers=2)
+        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
 
     @pytest.mark.parametrize("workers, cpus, pool", [
         (64, 8, 3), (64, 2, 2), (2, 8, 2), (64, None, None), (1, 8, None),
