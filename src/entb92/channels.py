@@ -52,7 +52,7 @@ class ChannelModel:
 
     def __post_init__(self):
         for name in ("eta_a", "eta_b", "depol_p"):
-            v = float(getattr(self, name))
+            v = float(getattr(self, name)) + 0.0  # + 0.0 stores -0.0 as 0.0
             if not math.isfinite(v) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
             object.__setattr__(self, name, v)

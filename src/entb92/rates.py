@@ -182,6 +182,11 @@ def _key_round_weights(theta, phi, p: float):
     return same, diff
 
 
+def _qber_and_fraction(same, diff):
+    """Q = same/(same + diff) and the conclusive fraction (same + diff)/2 of the key-round weights."""
+    return same / (same + diff), 0.5 * (same + diff)
+
+
 def _setting(theta, strategy: str):
     """(phi, dphi/dtheta, clean S_CH, dS_CH/dtheta) of a strategy at source angle theta.
 
@@ -199,12 +204,11 @@ def _setting(theta, strategy: str):
 def _closed_form(theta, p: float, strategy: str):
     """(S_CH, QBER, conclusive fraction) at source angle theta, a float or an array.
 
-    The Bell value is the depolarized clean value of ``_setting``,
-    Q = same/(same + diff) and the conclusive fraction is (same + diff)/2.
+    The Bell value is the depolarized clean value of ``_setting``; Q and the
+    conclusive fraction are those of ``_qber_and_fraction``.
     """
     phi, _, s_clean, _ = _setting(theta, strategy)
-    same, diff = _key_round_weights(theta, phi, p)
-    return depolarized_ch(s_clean, p), same / (same + diff), 0.5 * (same + diff)
+    return depolarized_ch(s_clean, p), *_qber_and_fraction(*_key_round_weights(theta, phi, p))
 
 
 def qber_and_conclusive(theta, channel: ChannelModel, bob_theta: Optional[float] = None):
@@ -222,8 +226,8 @@ def qber_and_conclusive(theta, channel: ChannelModel, bob_theta: Optional[float]
         raise ValueError("analytic error rates are defined for attack-free channels")
     angle = _as_angle(theta)
     phi = angle.theta if bob_theta is None else ProtocolAngle(float(bob_theta)).theta
-    same, diff = _key_round_weights(angle.theta, phi, channel.depol_p)
-    return float(same / (same + diff)), float(0.5 * (same + diff))
+    q, f_con = _qber_and_fraction(*_key_round_weights(angle.theta, phi, channel.depol_p))
+    return float(q), float(f_con)
 
 
 def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateReport:
@@ -296,7 +300,7 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
     phi, dphi, s_clean, ds_clean = _setting(theta, strategy)
     s = depolarized_ch(s_clean, p)
     same, diff = _key_round_weights(theta, phi, p)
-    q = same / (same + diff)
+    q, _ = _qber_and_fraction(same, diff)
     r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
     slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (math.log(2.0) * r * (1.0 + r))
     if q > 0.0:

@@ -27,7 +27,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,16 @@ MAX_CHUNK_SIZE = 2 ** 22
 _GUIDE_SHIFT, _BUCKETS, _MIXED = 52, 4096, 0x80
 _HALF = np.uint64(1 << 63)
 _WORD_BITS = ~np.uint64(0x7FF)  # the 53 bits Generator.random() keeps
+# The record fields (alice_basis, alice_outcome, bob_basis, bob_outcome) and key bit of each cell
+# 9 * (2i + j) + 3 * row + col of the (i, j, row, col) grid; row r of basis X holds outcome 1 - r.
+# A key round is a sender's Z click r with a conclusive click in B_j, which decodes 1 - j.
+_CELLS = tuple(
+    (("ZX"[i], "vacuum" if row == 2 else row ^ i, j, _BOB_OUTCOMES[col]),
+     (row, 1 - j) if i == 0 and row < 2 and col == 0 else None)
+    for i in (0, 1) for j in (0, 1) for row in range(3) for col in range(3))
+_KEY_BIT = dict(_CELLS)
+_KEY_CELLS = np.reshape([bit is not None for _, bit in _CELLS], (2, 2, 3, 3))
+_ERROR_CELLS = np.reshape([bit is not None and bit[0] != bit[1] for _, bit in _CELLS], (2, 2, 3, 3))
 
 
 def _integer(name: str, value) -> int:
@@ -111,8 +121,9 @@ class RoundRecord:
 
     ``key_bit`` is the (sender bit, decoded bit) pair, present exactly when
     the sender measured Z and clicked while the receiver got a conclusive
-    click. ``eve_outcome`` is simulator-side bookkeeping: the attacker's
-    1-based measurement branch, None on attack-free rounds.
+    click; it must be the pair ``_CELLS`` gives the other four fields.
+    ``eve_outcome`` is simulator-side bookkeeping: the attacker's 1-based
+    measurement branch, None on attack-free rounds.
     """
 
     alice_basis: str
@@ -131,13 +142,9 @@ class RoundRecord:
             raise ValueError("bob_basis must be 0 or 1")
         if self.bob_outcome not in _BOB_OUTCOMES:
             raise ValueError(f"bob_outcome must be one of {_BOB_OUTCOMES}")
-        should_have_key = (
-            self.alice_basis == "Z"
-            and self.alice_outcome in (0, 1)
-            and self.bob_outcome == "conclusive"
-        )
-        if should_have_key != (self.key_bit is not None):
-            raise ValueError("key_bit must be present exactly on conclusive Z rounds")
+        key_bit = _KEY_BIT[self.alice_basis, self.alice_outcome, self.bob_basis, self.bob_outcome]
+        if self.key_bit != key_bit:
+            raise ValueError(f"key_bit must be {key_bit!r} on this round, got {self.key_bit!r}")
         if self.eve_outcome is not None and self.eve_outcome not in (1, 2, 3, 4):
             raise ValueError("eve_outcome must be 1..4 when present")
 
@@ -342,19 +349,6 @@ def _tally_chunk(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
     return np.bincount(cell, minlength=36).reshape(2, 2, 3, 3)
 
 
-def _record_from_cells(i: int, j: int, row: int, col: int, eve: Optional[int]) -> RoundRecord:
-    basis = "Z" if i == 0 else "X"
-    if row == 2:
-        outcome: object = "vacuum"
-    else:
-        outcome = row if i == 0 else 1 - row  # X target row holds outcome 1
-    key_bit = None
-    if basis == "Z" and row < 2 and col == 0:
-        key_bit = (row, 1 - j)  # conclusive in B_j decodes j XOR 1
-    return RoundRecord(alice_basis=basis, alice_outcome=outcome, bob_basis=j,
-                       bob_outcome=_BOB_OUTCOMES[col], key_bit=key_bit, eve_outcome=eve)
-
-
 def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> RoundRecord:
     """Draw one round; consumes exactly four variates from ``rng_state``.
 
@@ -365,53 +359,16 @@ def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> Round
     """
     dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
     cell, key = _decode_rounds(rng_state.random((1, 4)), dist)
-    pair, cell9 = divmod(int(cell[0]), 9)
-    eve = None if key is None else int(key[0]) // 2 + 1
-    return _record_from_cells(pair >> 1, pair & 1, cell9 // 3, cell9 % 3, eve)
-
-
-class SiftSummary(NamedTuple):
-    key_bits: List[int]
-    n_con: int
-    n_err: int
-    table: CorrelationTable
-
-
-_ROW_OF = {("Z", 0): 0, ("Z", 1): 1, ("X", 1): 0, ("X", 0): 1}
-
-
-def estimate_table(records) -> CorrelationTable:
-    """Count-mode table from an iterable of round records."""
-    counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
-    for r in records:
-        i = 0 if r.alice_basis == "Z" else 1
-        row = 2 if r.alice_outcome == "vacuum" else _ROW_OF[(r.alice_basis, r.alice_outcome)]
-        col = _BOB_OUTCOMES.index(r.bob_outcome)
-        counts[i, r.bob_basis, row, col] += 1
-    return CorrelationTable("count", counts)
-
-
-def sift(records) -> SiftSummary:
-    """Extract the key and its error count from a record stream.
-
-    Key rounds are sender-Z, sender-detected, receiver-conclusive; the
-    decoded bit is the complement of the receiver's basis index, and an
-    error is a decoded bit disagreeing with the sender's. The comparison
-    uses simulator omniscience; only the error fraction feeds the rate.
-    """
-    records = list(records)
-    pairs = [r.key_bit for r in records if r.key_bit is not None]
-    bits = [sent for sent, _ in pairs]
-    n_err = sum(sent != decoded for sent, decoded in pairs)
-    return SiftSummary(key_bits=bits, n_con=len(bits), n_err=n_err, table=estimate_table(records))
+    fields, key_bit = _CELLS[cell[0]]
+    return RoundRecord(*fields, key_bit=key_bit, eve_outcome=None if key is None else int(key[0]) // 2 + 1)
 
 
 def _result_from_table(table: CorrelationTable, config: SessionConfig) -> SessionResult:
     g = table.grids
     n_detected = int(g[:, :, 0:2, 0:2].sum())
     n_detected_z = int(g[0, :, 0:2, 0:2].sum())
-    n_con = int(g[0, :, 0:2, 0].sum())
-    n_err = int(g[0, 0, 0, 0] + g[0, 1, 1, 0])
+    n_con = int(g[_KEY_CELLS].sum())
+    n_err = int(g[_ERROR_CELLS].sum())
     insufficient = n_con == 0 or bool(np.any(table.totals == 0))
     estimate = qber = raw = extrapolated = None
     if not insufficient:

@@ -46,6 +46,10 @@ class TestChannelModel:
         with pytest.raises(ValueError):
             ChannelModel(**kw)
 
+    def test_negative_zero_is_stored_as_zero(self):
+        ch = ChannelModel(eta_a=-0.0, eta_b=-0.0, depol_p=-0.0)
+        assert [math.copysign(1.0, v) for v in (ch.eta_a, ch.eta_b, ch.depol_p)] == [1.0, 1.0, 1.0]
+
 
 class TestAttackOutcome:
     def test_catalog(self):

@@ -223,6 +223,20 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_negative_zero_depol_writes_the_same_session(self, tmp_path, run_cli):
+        outs = []
+        for tag, depol in (("plus", "0"), ("minus", "-0.0")):
+            out = tmp_path / f"{tag}.json"
+            code, _, _ = run_cli("simulate", "--theta-deg", "60", "--rounds", "20000",
+                                 "--seed", "3", "--depol", depol, "--output", str(out))
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b'"depol_p": 0.0' in outs[1]
+        # the manifest still echoes the flag as given
+        manifest = json.loads((tmp_path / "minus.json.manifest.json").read_text())
+        assert math.copysign(1.0, manifest["parameters"]["depol"]) == -1.0
+
     def test_attacked_session_aborts(self, tmp_path, run_cli):
         out = tmp_path / "attacked.json"
         code, _, _ = run_cli("simulate", "--theta-deg", "60",

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import entb92
 import oracle
 from entb92 import cli, qcore, session
 from entb92.bell import table_from_state
@@ -28,10 +29,8 @@ from entb92.session import (
     _Distributions,
     _tally_chunk,
     born_table,
-    estimate_table,
     run_session,
     sample_round,
-    sift,
 )
 from entb92.states import ProtocolAngle, ch_settings, entangled_state
 
@@ -52,6 +51,41 @@ def replay_rounds(config):
                                                    counter=idx))
         records.append(sample_round(gen, config))
     return records
+
+
+def tally_records(records):
+    """Count grid and (n_con, n_err) of round records, from README's layout and key rule alone.
+
+    Cell (i, j, row, col): sender basis i (0 = Z, 1 = X), receiver basis j,
+    row the Z outcome, 1 - the X outcome or 2 for vacuum, and col the
+    receiver's conclusive/inconclusive/vacuum. A key round is a Z round where
+    the sender clicked and the receiver clicked conclusively; it decodes
+    1 - j and is an error when that differs from the sender's outcome.
+    ``key_bit`` is not read, so it cannot vouch for itself.
+    """
+    grid = np.zeros((2, 2, 3, 3), dtype=np.int64)
+    n_con = n_err = 0
+    for rec in records:
+        i = ("Z", "X").index(rec.alice_basis)
+        if rec.alice_outcome == "vacuum":
+            row = 2
+        else:
+            row = rec.alice_outcome if i == 0 else 1 - rec.alice_outcome
+        col = ("conclusive", "inconclusive", "vacuum").index(rec.bob_outcome)
+        grid[i, rec.bob_basis, row, col] += 1
+        if i == 0 and row < 2 and col == 0:
+            n_con += 1
+            n_err += rec.alice_outcome != 1 - rec.bob_basis
+    return grid, n_con, n_err
+
+
+def assert_replay_matches_engine(config):
+    """The scalar sampler's rounds tally to the engine's grid, n_con and n_err."""
+    grid, n_con, n_err = tally_records(replay_rounds(config))
+    res = run_session(config)
+    np.testing.assert_array_equal(grid, res.table.grids)
+    assert (n_con, n_err) == (res.n_con, res.n_err)
+    return res
 
 
 class TestSessionConfig:
@@ -95,6 +129,15 @@ class TestRoundRecord:
             RoundRecord(alice_basis="Z", alice_outcome=0, bob_basis=1,
                         bob_outcome="inconclusive", key_bit=(0, 0))
 
+    def test_key_bit_must_match_the_round(self):
+        fields = dict(alice_basis="Z", alice_outcome=0, bob_basis=1, bob_outcome="conclusive")
+        assert RoundRecord(**fields, key_bit=(0, 0)).key_bit == (0, 0)
+        for wrong in ("junk", (1, 1), (0, 1), None):
+            with pytest.raises(ValueError, match="key_bit"):
+                RoundRecord(**fields, key_bit=wrong)
+        # an error round keeps the sender's bit next to the decoded one
+        assert RoundRecord("Z", 1, 1, "conclusive", key_bit=(1, 0)).key_bit == (1, 0)
+
     def test_field_validation(self):
         with pytest.raises(ValueError):
             RoundRecord(alice_basis="Y", alice_outcome=0, bob_basis=0,
@@ -109,24 +152,17 @@ class TestRoundRecord:
 
 class TestScalarSampler:
     def test_matches_vectorized_engine_ideal(self):
-        config = cfg(n_rounds=4000)
-        table = estimate_table(replay_rounds(config))
-        engine = run_session(config)
-        np.testing.assert_array_equal(table.grids, engine.table.grids)
+        assert assert_replay_matches_engine(cfg(n_rounds=4000)).n_con > 0
 
     def test_matches_vectorized_engine_noisy(self):
-        config = cfg(n_rounds=4000, seed=11,
-                     channel=ChannelModel(eta_a=0.8, eta_b=0.7, depol_p=0.03))
-        table = estimate_table(replay_rounds(config))
-        engine = run_session(config)
-        np.testing.assert_array_equal(table.grids, engine.table.grids)
+        res = assert_replay_matches_engine(cfg(n_rounds=4000, seed=11,
+                                               channel=ChannelModel(eta_a=0.8, eta_b=0.7, depol_p=0.03)))
+        assert res.n_err > 0
 
     def test_matches_vectorized_engine_attacked(self):
-        config = cfg(n_rounds=4000, seed=5,
-                     channel=ChannelModel(attacker="usd"))
-        table = estimate_table(replay_rounds(config))
-        engine = run_session(config)
-        np.testing.assert_array_equal(table.grids, engine.table.grids)
+        # the attacker resends only signals it identified, so it adds no key errors
+        res = assert_replay_matches_engine(cfg(n_rounds=4000, seed=5, channel=ChannelModel(attacker="usd")))
+        assert res.n_con > 0 and res.n_err == 0
 
     def test_attack_bookkeeping(self):
         config = cfg(n_rounds=500, channel=ChannelModel(attacker="usd"))
@@ -413,11 +449,11 @@ class TestClosedFormTables:
 
 class TestSift:
     def test_clean_run_has_no_errors(self):
-        records = replay_rounds(cfg(n_rounds=20000))
-        summary = sift(records)
-        assert summary.n_err == 0
-        assert summary.n_con == len(summary.key_bits)
-        assert summary.n_con > 0
+        config = cfg(n_rounds=20000)
+        records = replay_rounds(config)
+        _, n_con, n_err = tally_records(records)
+        assert n_con > 0 and n_err == 0
+        assert (run_session(config).n_con, sum(rec.key_bit is not None for rec in records)) == (n_con, n_con)
         # decode rule: receiver announces basis k, key bit is 1 - k
         for rec in records:
             if rec.key_bit is not None:
@@ -591,3 +627,11 @@ class TestRunSession:
         assert d["n_con"] == res.n_con
         assert d["aborted"] is False
         assert "table" in d and d["table"]["mode"] == "count"
+
+
+def test_package_exports_resolve_once():
+    assert len(set(entb92.__all__)) == len(entb92.__all__)
+    assert [name for name in entb92.__all__ if not hasattr(entb92, name)] == []
+    for name in ("sift", "SiftSummary", "estimate_table"):
+        assert name not in entb92.__all__
+        assert not hasattr(entb92, name) and not hasattr(session, name)
