@@ -66,11 +66,11 @@ class CorrelationTable:
     ``grids`` has shape (2, 2, 3, 3): axes are (sender setting, receiver
     setting, sender outcome, receiver outcome) with outcomes ordered
     (target, orthogonal, vacuum). In probability mode every 3x3 grid sums to
-    1 within 1e-9; in count mode the grids hold nonnegative integers and the
-    per-pair totals are their sums.
+    1 within 1e-9 and ``totals`` is None; in count mode the grids hold
+    nonnegative integers below 2**53 and ``totals`` are the per-pair sums.
     """
 
-    def __init__(self, mode: str, grids, totals=None):
+    def __init__(self, mode: str, grids):
         if mode not in ("probability", "count"):
             raise ValueError(f'mode must be "probability" or "count", got {mode!r}')
         arr = np.asarray(grids, dtype=float)
@@ -81,12 +81,12 @@ class CorrelationTable:
         if mode == "count":
             if np.any(arr < 0) or not np.array_equal(arr, np.round(arr)):
                 raise ValueError("count-mode grids must hold nonnegative integers")
-            counts = np.round(arr).astype(np.int64)
-            derived = counts.sum(axis=(2, 3))
-            if totals is not None and not np.array_equal(np.asarray(totals, dtype=np.int64), derived):
-                raise ValueError("totals must equal per-pair count sums")
-            self._grids = counts
-            self._totals = derived
+            # every integer below 2**53 survives the float conversion exactly; larger ones may not
+            if np.any(arr >= 2.0 ** 53):
+                raise ValueError("counts must be below 2**53")
+            self._grids = arr.astype(np.int64)
+            self._totals = self._grids.sum(axis=(2, 3))
+            self._totals.setflags(write=False)
         else:
             if np.any(arr < -_MARGINAL_ATOL):
                 raise ValueError("probabilities must be nonnegative")
@@ -94,10 +94,8 @@ class CorrelationTable:
             if np.any(np.abs(sums - 1.0) > _MARGINAL_ATOL):
                 raise ValueError("each probability grid must sum to 1 within 1e-9")
             self._grids = np.clip(arr, 0.0, None)
-            self._totals = None if totals is None else np.asarray(totals, dtype=np.int64).reshape(2, 2).copy()
+            self._totals = None
         self._grids.setflags(write=False)
-        if self._totals is not None:
-            self._totals.setflags(write=False)
         self._mode = mode
 
     @property
@@ -112,34 +110,6 @@ class CorrelationTable:
     def totals(self) -> Optional[np.ndarray]:
         return self._totals
 
-    def pair(self, i: int, j: int) -> np.ndarray:
-        """The 3x3 grid for sender setting i, receiver setting j."""
-        return self._grids[i, j]
-
-    def pair_probabilities(self, i: int, j: int) -> np.ndarray:
-        """The pair grid as probabilities (count mode divides by the total)."""
-        if self._mode == "probability":
-            return self._grids[i, j]
-        n = self._totals[i, j]
-        if n == 0:
-            raise ValueError(f"setting pair ({i},{j}) has no rounds")
-        return self._grids[i, j] / float(n)
-
-    def merge(self, other: "CorrelationTable") -> "CorrelationTable":
-        """Cell-wise sum of two count-mode tables (associative, commutative)."""
-        if self._mode != "count" or other._mode != "count":
-            raise ValueError("merge is defined for count-mode tables only")
-        return CorrelationTable("count", self._grids + other._grids)
-
-    def to_probabilities(self) -> "CorrelationTable":
-        """Convert count mode to probability mode, keeping the totals."""
-        if self._mode == "probability":
-            return self
-        if np.any(self._totals == 0):
-            raise ValueError("cannot convert: some setting pair has no rounds")
-        probs = self._grids / self._totals[:, :, None, None].astype(float)
-        return CorrelationTable("probability", probs, totals=self._totals)
-
     def to_json_dict(self) -> dict:
         pairs = dict(zip(PAIR_KEYS, self._grids.reshape(4, 9).tolist()))
         totals = None if self._totals is None else dict(zip(PAIR_KEYS, self._totals.ravel().tolist()))
@@ -147,14 +117,16 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
+        """Inverse of ``to_json_dict``; ``totals`` must be what the grids give."""
         flats = [np.asarray(data["pairs"][key], dtype=float) for key in PAIR_KEYS]
         for key, flat in zip(PAIR_KEYS, flats):
             if flat.shape != (9,):
                 raise ValueError(f"pair {key} must hold 9 values")
-        totals = data.get("totals")
-        if totals is not None:
-            totals = np.reshape([totals[key] for key in PAIR_KEYS], (2, 2)).astype(np.int64)
-        return cls(data["mode"], np.reshape(flats, (2, 2, 3, 3)), totals=totals)
+        table = cls(data["mode"], np.reshape(flats, (2, 2, 3, 3)))
+        totals, expected = data.get("totals"), table.to_json_dict()["totals"]
+        if totals != expected:
+            raise ValueError(f"totals must be {expected!r} on this {table.mode} table, got {totals!r}")
+        return table
 
     def __repr__(self) -> str:
         return f"CorrelationTable(mode={self._mode!r})"

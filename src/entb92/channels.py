@@ -32,7 +32,7 @@ from .qcore import (
     Povm,
     apply_channel,
 )
-from .states import ProtocolAngle, conjugate_state, entangled_state, signal_state
+from .states import ProtocolAngle, _projector, conjugate_state, entangled_state, signal_state
 
 _ATTACKERS = ("none", "usd")
 
@@ -58,30 +58,6 @@ class ChannelModel:
             object.__setattr__(self, name, v)
         if self.attacker not in _ATTACKERS:
             raise ValueError(f"attacker must be one of {_ATTACKERS}, got {self.attacker!r}")
-
-
-@dataclass(frozen=True)
-class AttackOutcome:
-    """One branch of the attacker's measure-and-resend strategy.
-
-    ``index`` is the 1-based POVM element number; ``resend`` names what goes
-    back out on the wire: "signal_1", "signal_0", or "vacuum".
-    """
-
-    index: int
-    resend: str
-
-    _MAPPING = {1: "signal_1", 2: "signal_0", 3: "vacuum", 4: "vacuum"}
-
-    def __post_init__(self):
-        expected = self._MAPPING.get(self.index)
-        if expected is None:
-            raise ValueError(f"attack outcome index must be 1..4, got {self.index!r}")
-        if self.resend != expected:
-            raise ValueError(f"outcome {self.index} must resend {expected!r}, got {self.resend!r}")
-
-
-ATTACK_OUTCOMES = tuple(AttackOutcome(i, AttackOutcome._MAPPING[i]) for i in (1, 2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -169,17 +145,12 @@ def usd_povm(angle: ProtocolAngle) -> Povm:
     weight 1/2, which makes the four sum to the identity.
     """
     halves = [
-        0.5 * _proj(conjugate_state(0, angle)),
-        0.5 * _proj(conjugate_state(1, angle)),
-        0.5 * _proj(signal_state(0, angle)),
-        0.5 * _proj(signal_state(1, angle)),
+        0.5 * _projector(conjugate_state(0, angle)),
+        0.5 * _projector(conjugate_state(1, angle)),
+        0.5 * _projector(signal_state(0, angle)),
+        0.5 * _projector(signal_state(1, angle)),
     ]
     return Povm(halves, labels=("identified_1", "identified_0", "ambiguous_0", "ambiguous_1"))
-
-
-def _proj(v) -> np.ndarray:
-    amp = v.amplitudes
-    return np.outer(amp, amp.conj())
 
 
 def _trace_out_receiver(rho4: np.ndarray, element: np.ndarray) -> np.ndarray:
@@ -212,7 +183,7 @@ def usd_attack_channel(joint: DensityMatrix, angle: ProtocolAngle) -> JointState
         if chi is None:
             sender_vac += cond
         else:
-            qubit += np.kron(cond, _proj(chi))
+            qubit += np.kron(cond, _projector(chi))
     return JointState(
         qubit=DensityMatrix(qubit, subnormalized=True),
         receiver_vacuum=DensityMatrix(sender_vac, subnormalized=True),

@@ -65,6 +65,11 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _int_in(value, allowed) -> bool:
+    """Whether ``value`` is an integer (not a bool or a float) equal to one of ``allowed``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in allowed
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of one simulated session.
@@ -136,16 +141,16 @@ class RoundRecord:
     def __post_init__(self):
         if self.alice_basis not in ("Z", "X"):
             raise ValueError('alice_basis must be "Z" or "X"')
-        if self.alice_outcome not in (0, 1, "vacuum"):
+        if self.alice_outcome != "vacuum" and not _int_in(self.alice_outcome, (0, 1)):
             raise ValueError('alice_outcome must be 0, 1 or "vacuum"')
-        if self.bob_basis not in (0, 1):
+        if not _int_in(self.bob_basis, (0, 1)):
             raise ValueError("bob_basis must be 0 or 1")
         if self.bob_outcome not in _BOB_OUTCOMES:
             raise ValueError(f"bob_outcome must be one of {_BOB_OUTCOMES}")
         key_bit = _KEY_BIT[self.alice_basis, self.alice_outcome, self.bob_basis, self.bob_outcome]
-        if self.key_bit != key_bit:
+        if self.key_bit != key_bit or not all(_int_in(b, (0, 1)) for b in self.key_bit or ()):
             raise ValueError(f"key_bit must be {key_bit!r} on this round, got {self.key_bit!r}")
-        if self.eve_outcome is not None and self.eve_outcome not in (1, 2, 3, 4):
+        if self.eve_outcome is not None and not _int_in(self.eve_outcome, (1, 2, 3, 4)):
             raise ValueError("eve_outcome must be 1..4 when present")
 
 

@@ -147,12 +147,10 @@ def uninformative_states(angle: ProtocolAngle):
 
     The weighted mixture of the pair reproduces signal_mixture exactly, which
     is what makes these preparations indistinguishable from signal rounds to
-    anyone who only sees the flying qubit.
+    anyone who only sees the flying qubit. It is the pair an X measurement
+    on the sender's qubit steers onto.
     """
-    return (
-        (basis_state_x(0), angle.beta ** 2),
-        (basis_state_x(1), angle.alpha ** 2),
-    )
+    return tuple(steered_state("X", j, angle) for j in (0, 1))
 
 
 def steered_state(basis: str, outcome: int, angle: ProtocolAngle):
@@ -196,13 +194,6 @@ class SettingPairSpec:
     alice: tuple
     bob: tuple
     bob_theta: float
-
-    def setting(self, party: str, index: int) -> Povm:
-        if party == "A":
-            return self.alice[index]
-        if party == "B":
-            return self.bob[index]
-        raise ValueError('party must be "A" or "B"')
 
 
 def ch_settings(angle: ProtocolAngle, bob_theta: float | None = None) -> SettingPairSpec:

@@ -72,44 +72,36 @@ class TestCorrelationTable:
     def test_count_totals_mismatch_rejected(self):
         grids = np.zeros((2, 2, 3, 3), dtype=np.int64)
         grids[:, :, 0, 0] = 5
-        with pytest.raises(ValueError):
-            CorrelationTable(mode="count", grids=grids,
-                             totals=np.full((2, 2), 7))
+        data = CorrelationTable(mode="count", grids=grids).to_json_dict()
+        for totals in (dict.fromkeys(data["totals"], 7), None):
+            with pytest.raises(ValueError, match="totals"):
+                CorrelationTable.from_json_dict({**data, "totals": totals})
+        data = ideal_table(math.pi / 3).to_json_dict()
+        with pytest.raises(ValueError, match="totals"):
+            CorrelationTable.from_json_dict({**data, "totals": dict.fromkeys(data["pairs"], 1)})
 
-    def test_merge_adds_counts(self):
-        g1 = np.zeros((2, 2, 3, 3), dtype=np.int64)
-        g2 = np.zeros((2, 2, 3, 3), dtype=np.int64)
-        g1[0, 0, 0, 0] = 3
-        g2[0, 0, 0, 0] = 4
-        g2[1, 1, 2, 2] = 9
-        merged = CorrelationTable(mode="count", grids=g1).merge(
-            CorrelationTable(mode="count", grids=g2))
-        assert merged.grids[0, 0, 0, 0] == 7
-        assert merged.grids[1, 1, 2, 2] == 9
-
-    def test_merge_rejected_for_probability_mode(self):
-        g = np.zeros((2, 2, 3, 3))
-        g[:, :, 0, 0] = 1.0
-        t = prob_table(g)
-        with pytest.raises(ValueError):
-            t.merge(t)
-
-    def test_to_probabilities(self):
+    def test_counts_must_be_exact_floats(self):
         grids = np.zeros((2, 2, 3, 3), dtype=np.int64)
-        grids[:, :, 0, 0] = 1
-        grids[:, :, 1, 1] = 3
-        conv = CorrelationTable(mode="count", grids=grids).to_probabilities()
-        assert conv.mode == "probability"
-        assert conv.grids[0, 0, 0, 0] == pytest.approx(0.25)
-        assert conv.grids[0, 0, 1, 1] == pytest.approx(0.75)
-        np.testing.assert_array_equal(conv.totals, np.full((2, 2), 4))
+        for big in (2 ** 53, 2 ** 53 + 1):
+            grids[0, 0, 0, 0] = big
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                CorrelationTable(mode="count", grids=grids)
+            data = CorrelationTable(mode="count", grids=np.zeros_like(grids)).to_json_dict()
+            data["pairs"]["00"][0], data["totals"]["00"] = big, big
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                CorrelationTable.from_json_dict(data)
+        grids[0, 0, 0, 0] = 2 ** 53 - 1
+        t = CorrelationTable(mode="count", grids=grids)
+        assert t.grids[0, 0, 0, 0] == t.totals[0, 0] == 2 ** 53 - 1
+        assert CorrelationTable.from_json_dict(t.to_json_dict()).totals[0, 0] == 2 ** 53 - 1
 
     def test_pair_probabilities_empty_pair_rejected(self):
         grids = np.zeros((2, 2, 3, 3), dtype=np.int64)
         grids[0, :, 0, 0] = 4
         t = CorrelationTable(mode="count", grids=grids)
-        with pytest.raises(ValueError):
-            t.pair_probabilities(1, 0)
+        for functional in (ch_value, chsh_value):
+            with pytest.raises(ValueError, match=r"setting pair \(1,0\) has no rounds"):
+                functional(t)
 
     def test_json_roundtrip_both_modes(self):
         grids = np.zeros((2, 2, 3, 3), dtype=np.int64)
@@ -280,14 +272,14 @@ class TestTableFromState:
     def test_cell_values_at_reference_angle(self):
         t = ideal_table(math.pi / 3)
         # target-target cell of the (second sender, second receiver) pair
-        assert t.pair(1, 1)[0, 0] == pytest.approx(3.0 / 16.0, abs=1e-12)
-        assert t.pair(0, 0)[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert t.grids[1, 1][0, 0] == pytest.approx(3.0 / 16.0, abs=1e-12)
+        assert t.grids[0, 0][0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_moves_mass_to_vacuum(self):
         t = ideal_table(1.0, eta_a=0.8, eta_b=0.6)
         for i in range(2):
             for j in range(2):
-                g = t.pair(i, j)
+                g = t.grids[i, j]
                 assert g.sum() == pytest.approx(1.0, abs=1e-12)
                 assert g[2, :].sum() == pytest.approx(0.2, abs=1e-12)
                 assert g[:, 2].sum() >= 0.4 - 1e-12
@@ -296,7 +288,7 @@ class TestTableFromState:
         t = ideal_table(1.0, eta_a=0.0, eta_b=0.0)
         for i in range(2):
             for j in range(2):
-                assert t.pair(i, j)[2, 2] == pytest.approx(1.0, abs=1e-12)
+                assert t.grids[i, j][2, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_lossy_pipeline_matches_closed_form(self):
         for _ in range(40):
@@ -310,7 +302,7 @@ class TestTableFromState:
     def test_attacked_table_has_vacuum_branch_mass(self):
         t = ideal_table(math.pi / 3, attacker="usd")
         for i in range(2):
-            g = t.pair(i, 0)
+            g = t.grids[i, 0]
             assert g.sum() == pytest.approx(1.0, abs=1e-12)
             # receiver vacuum at least the discarded-branch weight
             assert g[:, 2].sum() >= 0.625 - 1e-12

@@ -5,8 +5,6 @@ import pytest
 
 import oracle
 from entb92.channels import (
-    ATTACK_OUTCOMES,
-    AttackOutcome,
     ChannelModel,
     JointState,
     analytic_pipeline_state,
@@ -49,21 +47,6 @@ class TestChannelModel:
     def test_negative_zero_is_stored_as_zero(self):
         ch = ChannelModel(eta_a=-0.0, eta_b=-0.0, depol_p=-0.0)
         assert [math.copysign(1.0, v) for v in (ch.eta_a, ch.eta_b, ch.depol_p)] == [1.0, 1.0, 1.0]
-
-
-class TestAttackOutcome:
-    def test_catalog(self):
-        assert tuple(o.index for o in ATTACK_OUTCOMES) == (1, 2, 3, 4)
-        assert ATTACK_OUTCOMES[0].resend == "signal_1"
-        assert ATTACK_OUTCOMES[1].resend == "signal_0"
-        assert ATTACK_OUTCOMES[2].resend == "vacuum"
-        assert ATTACK_OUTCOMES[3].resend == "vacuum"
-
-    def test_rejects_inconsistent(self):
-        with pytest.raises(ValueError):
-            AttackOutcome(index=1, resend="vacuum")
-        with pytest.raises(ValueError):
-            AttackOutcome(index=5, resend="vacuum")
 
 
 class TestDepolarize:

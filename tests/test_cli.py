@@ -1,7 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -13,10 +15,12 @@ import numpy as np
 import pytest
 
 import oracle
+from entb92.cli import build_parser
 from entb92.rates import optimal_theta, pm_reference_rate
 from entb92.session import MAX_CHUNK_SIZE, MAX_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def read_csv(path):
@@ -453,6 +457,22 @@ def test_manifest_records_the_parameters_read(tmp_path, run_cli, schema_validato
     assert manifest["parameters"] == parameters
     assert type(manifest["seed"]) is type(seed) and manifest["seed"] == seed
     assert [e["path"] for e in manifest["outputs"]] == [str(out)]
+
+
+def test_readme_flag_table_matches_parser():
+    lines = README.read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names, flags = re.split(r"(?<!\\)\|", line)[1:-1]
+        for name in re.findall(r"`([a-z-]+)`", names):
+            documented[name] = set(re.findall(r"`(--[a-z-]+)", flags))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {o for a in sp._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+              for name, sp in subparsers.choices.items()}
+    assert documented == parsed
 
 
 def declared_console_scripts():

@@ -10,7 +10,7 @@ import pytest
 
 import entb92
 import oracle
-from entb92 import cli, qcore, session
+from entb92 import channels, cli, qcore, session
 from entb92.bell import table_from_state
 from entb92.channels import (
     ChannelModel,
@@ -148,6 +148,20 @@ class TestRoundRecord:
         with pytest.raises(ValueError):
             RoundRecord(alice_basis="Z", alice_outcome=0, bob_basis=0,
                         bob_outcome="click")
+
+    def test_bools_and_floats_rejected(self):
+        for args, kw, field in ((("Z", True, 1, "conclusive"), {"key_bit": (1, 0)}, "alice_outcome"),
+                                (("Z", 1.0, 1, "conclusive"), {"key_bit": (1, 0)}, "alice_outcome"),
+                                (("Z", 1, True, "conclusive"), {"key_bit": (1, 0)}, "bob_basis"),
+                                (("Z", 1, 1.0, "conclusive"), {"key_bit": (1, 0)}, "bob_basis"),
+                                (("Z", 1, 1, "conclusive"), {"key_bit": (True, 0)}, "key_bit"),
+                                (("Z", 1, 1, "conclusive"), {"key_bit": (1, 0.0)}, "key_bit"),
+                                (("Z", 1, 1, "conclusive"), {"key_bit": (1, 0), "eve_outcome": True}, "eve_outcome"),
+                                (("Z", 1, 1, "conclusive"), {"key_bit": (1, 0), "eve_outcome": 2.0}, "eve_outcome")):
+            with pytest.raises(ValueError, match=field):
+                RoundRecord(*args, **kw)
+        assert RoundRecord("Z", np.int64(1), np.int64(1), "conclusive", key_bit=(1, np.int64(0)),
+                           eve_outcome=np.int64(2)).eve_outcome == 2
 
 
 class TestScalarSampler:
@@ -635,3 +649,6 @@ def test_package_exports_resolve_once():
     for name in ("sift", "SiftSummary", "estimate_table"):
         assert name not in entb92.__all__
         assert not hasattr(entb92, name) and not hasattr(session, name)
+    for name in ("AttackOutcome", "ATTACK_OUTCOMES"):
+        assert name not in entb92.__all__
+        assert not hasattr(entb92, name) and not hasattr(channels, name)

@@ -229,14 +229,14 @@ class TestChSettings:
     def test_targets(self):
         ang = ProtocolAngle(math.pi / 3)
         spec = ch_settings(ang)
-        a0 = spec.setting("A", 0)
-        a1 = spec.setting("A", 1)
+        a0 = spec.alice[0]
+        a1 = spec.alice[1]
         np.testing.assert_allclose(a0.elements[0].matrix,
                                    oracle.proj(oracle.ket_z(0)), atol=1e-14)
         np.testing.assert_allclose(a1.elements[0].matrix,
                                    oracle.proj(oracle.ket_x(1)), atol=1e-14)
         for k in (0, 1):
-            bk = spec.setting("B", k)
+            bk = spec.bob[k]
             np.testing.assert_allclose(
                 bk.elements[0].matrix,
                 oracle.proj(oracle.conj_state(k, math.pi / 3)), atol=1e-14)
@@ -247,15 +247,10 @@ class TestChSettings:
         bt = math.atan(math.sin(math.pi / 3))
         spec = ch_settings(ang, bob_theta=bt)
         assert spec.bob_theta == pytest.approx(bt)
-        np.testing.assert_allclose(spec.setting("B", 1).elements[0].matrix,
+        np.testing.assert_allclose(spec.bob[1].elements[0].matrix,
                                    oracle.proj(oracle.conj_state(1, bt)),
                                    atol=1e-14)
 
-    def test_party_validated(self):
-        spec = ch_settings(ProtocolAngle(1.0))
-        with pytest.raises(ValueError):
-            spec.setting("C", 0)
-
     def test_labels(self):
         spec = ch_settings(ProtocolAngle(1.0))
-        assert spec.setting("A", 0).labels == ("target", "orthogonal")
+        assert spec.alice[0].labels == ("target", "orthogonal")
