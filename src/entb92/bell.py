@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import ChannelModel, JointState, lossy_povm
+from .channels import ChannelModel, JointState, _probability, lossy_povm
 from .qcore import DensityMatrix, Operator, Povm, born_probabilities
 from .states import SettingPairSpec
 
@@ -59,6 +59,9 @@ class BellValue:
         if not math.isfinite(self.standard_error) or self.standard_error < 0.0:
             raise ValueError("standard error must be finite and nonnegative")
 
+    def to_json_dict(self) -> dict:
+        return dict(vars(self))
+
 
 class CorrelationTable:
     """Outcome statistics for the four setting pairs of the Bell test.
@@ -73,7 +76,11 @@ class CorrelationTable:
     def __init__(self, mode: str, grids):
         if mode not in ("probability", "count"):
             raise ValueError(f'mode must be "probability" or "count", got {mode!r}')
-        arr = np.asarray(grids, dtype=float)
+        try:
+            arr = np.asarray(grids, dtype=float)
+        except OverflowError:  # a Python int beyond the float range
+            raise ValueError("counts must be below 2**53" if mode == "count"
+                             else "grid entries must be finite") from None
         if arr.shape != (2, 2, 3, 3):
             raise ValueError(f"grids must have shape (2, 2, 3, 3), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -118,11 +125,10 @@ class CorrelationTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
         """Inverse of ``to_json_dict``; ``totals`` must be what the grids give."""
-        flats = [np.asarray(data["pairs"][key], dtype=float) for key in PAIR_KEYS]
-        for key, flat in zip(PAIR_KEYS, flats):
-            if flat.shape != (9,):
+        for key in PAIR_KEYS:
+            if np.shape(data["pairs"][key]) != (9,):
                 raise ValueError(f"pair {key} must hold 9 values")
-        table = cls(data["mode"], np.reshape(flats, (2, 2, 3, 3)))
+        table = cls(data["mode"], np.reshape([data["pairs"][key] for key in PAIR_KEYS], (2, 2, 3, 3)))
         totals, expected = data.get("totals"), table.to_json_dict()["totals"]
         if totals != expected:
             raise ValueError(f"totals must be {expected!r} on this {table.mode} table, got {totals!r}")
@@ -234,9 +240,7 @@ def ch_with_loss(theta: float, eta_a: float, eta_b: float) -> float:
     efficiencies.
     """
     theta = _check_theta_range(theta)
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not math.isfinite(float(eta)) or not 0.0 <= float(eta) <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
+    eta_a, eta_b = _probability("eta_a", eta_a), _probability("eta_b", eta_b)
     s = math.sin(theta)
     return (eta_a - 0.5) * eta_b * s * s - eta_a * math.sin(theta / 2.0) ** 2
 

@@ -17,6 +17,7 @@ only ever needs click/no-click statistics from it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,15 @@ from .states import ProtocolAngle, _projector, conjugate_state, entangled_state,
 _ATTACKERS = ("none", "usd")
 
 
+def _probability(name: str, value) -> float:
+    """``value`` as a float in [0, 1], -0.0 stored as 0.0; bools, strings and NaN are rejected."""
+    # floats come first: testing against the numbers.Real ABC is many times slower, and theta* bisections call this
+    real = isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value) + 0.0
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Channel and detector parameters for one session.
@@ -52,12 +62,12 @@ class ChannelModel:
 
     def __post_init__(self):
         for name in ("eta_a", "eta_b", "depol_p"):
-            v = float(getattr(self, name)) + 0.0  # + 0.0 stores -0.0 as 0.0
-            if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _probability(name, getattr(self, name)))
         if self.attacker not in _ATTACKERS:
             raise ValueError(f"attacker must be one of {_ATTACKERS}, got {self.attacker!r}")
+
+    def to_json_dict(self) -> dict:
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -110,9 +120,7 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     Bloch vectors shrink by the factor (1 - 4p/3); p = 3/4 sends every qubit
     state to the maximally mixed one.
     """
-    p = float(p)
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarization probability must lie in [0, 1], got {p!r}")
+    p = _probability("depolarization probability", p)
     return apply_channel(rho, _depolarizing_kraus(p, rho.dim))
 
 
@@ -123,9 +131,7 @@ def lossy_povm(m: Povm, eta: float) -> Povm:
     element labeled "vacuum" is appended, so completeness is preserved
     exactly and each original click probability is eta times the ideal one.
     """
-    eta = float(eta)
-    if not math.isfinite(eta) or not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta!r}")
+    eta = _probability("efficiency", eta)
     for op in m.elements:
         mm = op.matrix
         if not np.allclose(mm @ mm, mm, atol=ATOL_DERIVED, rtol=0.0):

@@ -84,13 +84,11 @@ def _fmt(value: float) -> str:
 
 
 def _check_writable(*paths: str) -> None:
-    """Raise up front for an output that a later write could not create or would overwrite.
-
-    ``paths[0]`` is the primary output, whose manifest is written beside it.
-    """
-    if len({os.path.realpath(p) for p in (*paths, f"{paths[0]}.manifest.json")}) <= len(paths):
+    """Raise up front if an output, or the manifest beside ``paths[0]``, could not be written or would overwrite."""
+    outputs = (*paths, f"{paths[0]}.manifest.json")
+    if len({os.path.realpath(p) for p in outputs}) < len(outputs):
         raise ValueError(f"outputs must not share a path: {', '.join(paths)}")
-    for path in paths:
+    for path in outputs:
         directory = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not (os.access(path, os.W_OK) if os.path.exists(path)
                                        else os.path.isdir(directory) and os.access(directory, os.W_OK)):

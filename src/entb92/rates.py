@@ -22,16 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .bell import CH_QUANTUM_MAX
-from .channels import ChannelModel
+from .channels import ChannelModel, _probability
 from .states import ProtocolAngle
 
 _CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
+_CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 _SLACK = 1e-9
+_check_depol = partial(_probability, "depolarization probability")
 
 STRATEGIES = ("fixed_settings", "ch_max")
 
@@ -98,9 +101,7 @@ class ThresholdResult:
 
 def binary_entropy(q: float) -> float:
     """h(q) = -q log2 q - (1-q) log2(1-q), extended by continuity at 0 and 1."""
-    q = float(q)
-    if not math.isfinite(q) or not 0.0 <= q <= 1.0:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {q!r}")
+    q = _probability("binary entropy argument", q)
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -123,10 +124,10 @@ def gain_from_ch(s_ch: float, q: float) -> float:
     """Secure gain from a probability-form Bell value and an error rate.
 
     Equals gain_from_chsh(4 s + 2, q); defined while 1 - 4s - 4s^2 >= 0,
-    i.e. s <= (sqrt(2) - 1)/2.
+    i.e. for -(1 + sqrt(2))/2 = _CH_DOMAIN_LO <= s <= CH_QUANTUM_MAX = (sqrt(2) - 1)/2.
     """
     s = float(s_ch)
-    if not math.isfinite(s) or not -(1.0 + math.sqrt(2.0)) / 2.0 - 1e-12 <= s <= CH_QUANTUM_MAX + 1e-12:
+    if not math.isfinite(s) or not _CH_DOMAIN_LO - 1e-12 <= s <= CH_QUANTUM_MAX + 1e-12:
         raise ValueError(f"Bell value {s_ch!r} lies outside the gain domain (max {CH_QUANTUM_MAX:.6f})")
     radicand = max(1.0 - 4.0 * s - 4.0 * s * s, 0.0)
     return 1.0 - math.log2(1.0 + math.sqrt(radicand)) - binary_entropy(q)
@@ -137,13 +138,6 @@ def key_rate(n_con: float, gain: float) -> float:
     if n_con < 0:
         raise ValueError("conclusive count cannot be negative")
     return float(n_con) * float(gain)
-
-
-def _check_depol(p) -> float:
-    p = float(p)
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarization probability must lie in [0, 1], got {p!r}")
-    return p
 
 
 def depolarized_ch(s_ch: float, p: float) -> float:
@@ -211,23 +205,31 @@ def _closed_form(theta, p: float, strategy: str):
     return depolarized_ch(s_clean, p), *_qber_and_fraction(*_key_round_weights(theta, phi, p))
 
 
-def qber_and_conclusive(theta, channel: ChannelModel, bob_theta: Optional[float] = None):
+def qber_and_conclusive(theta, channel: ChannelModel):
     """Error rate and conclusive fraction of the key rounds, in closed form.
 
-    Sender measures Z, receiver picks basis B_0/B_1 uniformly; the returned
-    fraction is P(conclusive | both detected) and the error rate is
-    P(decoded bit wrong | conclusive). Detection efficiencies cancel under
-    the conditioning, so only ``depol_p`` matters. ``bob_theta`` builds the
-    receiver's bases at a different angle (used by the max-violation
-    strategy, which pays for its larger Bell value with a larger error
-    rate).
+    Sender measures Z, receiver picks basis B_0/B_1 at the source angle
+    uniformly; the returned fraction is P(conclusive | both detected) and the
+    error rate is P(decoded bit wrong | conclusive). Detection efficiencies
+    cancel under the conditioning, so only ``depol_p`` matters.
     """
     if channel.attacker != "none":
         raise ValueError("analytic error rates are defined for attack-free channels")
-    angle = _as_angle(theta)
-    phi = angle.theta if bob_theta is None else ProtocolAngle(float(bob_theta)).theta
-    q, f_con = _qber_and_fraction(*_key_round_weights(angle.theta, phi, channel.depol_p))
+    theta = _as_angle(theta).theta
+    q, f_con = _qber_and_fraction(*_key_round_weights(theta, theta, channel.depol_p))
     return float(q), float(f_con)
+
+
+def _rate_report(s_ch: float, qber: float, conclusive_fraction: float, n_con: Optional[int] = None) -> RateReport:
+    """The one constructor of a ``RateReport``, from an S_CH value, an error rate and a conclusive fraction.
+
+    The gain reads S_CH clipped to the gain domain, which finite-sample estimates can leave; ``rate`` is
+    ``key_rate(n_con, gain)``, or the normalized rate (per detected pair) when ``n_con`` is None.
+    """
+    gain = gain_from_ch(min(max(s_ch, _CH_DOMAIN_LO), CH_QUANTUM_MAX), qber)
+    r_norm = conclusive_fraction * gain
+    return RateReport(s_ch=s_ch, s_chsh=4.0 * s_ch + 2.0, qber=qber, conclusive_fraction=conclusive_fraction,
+                      gain=gain, rate=r_norm if n_con is None else key_rate(n_con, gain), normalized_rate=r_norm)
 
 
 def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateReport:
@@ -235,23 +237,10 @@ def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateRe
 
     ``fixed_settings`` uses the protocol's own settings; ``ch_max`` estimates
     the Bell value with the violation-maximizing receiver angle, trading a
-    larger Bell value against a larger error rate. An analytic report's
-    ``rate`` equals its ``normalized_rate`` (per detected pair).
+    larger Bell value against a larger error rate. ``rate`` is per detected pair.
     """
     _check_strategy(strategy)
-    angle = _as_angle(theta)
-    s, q, f_con = map(float, _closed_form(angle.theta, _check_depol(p), strategy))
-    gain = gain_from_ch(s, q)
-    r_norm = f_con * gain
-    return RateReport(
-        s_ch=s,
-        s_chsh=4.0 * s + 2.0,
-        qber=q,
-        conclusive_fraction=f_con,
-        gain=gain,
-        rate=r_norm,
-        normalized_rate=r_norm,
-    )
+    return _rate_report(*map(float, _closed_form(_as_angle(theta).theta, _check_depol(p), strategy)))
 
 
 def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -394,7 +383,5 @@ def pm_reference_rate(p: float) -> float:
     Anchored at PM_REFERENCE_RATE_AT_ZERO for p = 0 and crossing zero at
     PM_REFERENCE_MAX_DEPOL; only the crossing is quantitative.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 0.0:
-        raise ValueError(f"depolarization probability must be nonnegative, got {p!r}")
+    p = _check_depol(p)
     return PM_REFERENCE_RATE_AT_ZERO * (1.0 - p / PM_REFERENCE_MAX_DEPOL)

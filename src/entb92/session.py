@@ -31,13 +31,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bell import BellValue, CH_QUANTUM_MAX, CorrelationTable, ch_value
+from .bell import BellValue, CorrelationTable, ch_value
 from .channels import ChannelModel
-from .rates import RateReport, gain_from_ch, key_rate
+from .rates import RateReport, _rate_report
 from .states import ProtocolAngle
 
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
-_CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 # MAX_CHUNKS only bounds the session length: memory does not grow with the chunk
 # count. A chunk in flight holds 45-48 B per round, up to about 190 MB at MAX_CHUNK_SIZE.
 MAX_CHUNKS = 2 ** 16
@@ -68,6 +67,12 @@ def _integer(name: str, value) -> int:
 def _int_in(value, allowed) -> bool:
     """Whether ``value`` is an integer (not a bool or a float) equal to one of ``allowed``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in allowed
+
+
+def _json_fields(record) -> dict:
+    """``vars(record)``, each nested record through its own ``to_json_dict``."""
+    return {name: value.to_json_dict() if hasattr(value, "to_json_dict") else value
+            for name, value in vars(record).items()}
 
 
 @dataclass(frozen=True)
@@ -108,16 +113,9 @@ class SessionConfig:
                              f"{MAX_CHUNKS * self.chunk_size} at chunk_size {self.chunk_size}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta": self.angle.theta,
-            "theta_degrees": self.angle.degrees,
-            "n_rounds": self.n_rounds,
-            "test_fraction": self.test_fraction,
-            "channel": dict(vars(self.channel)),
-            "seed": self.seed,
-            "abort_threshold": self.abort_threshold,
-            "chunk_size": self.chunk_size,
-        }
+        fields = _json_fields(self)
+        angle = fields.pop("angle")
+        return {"theta": angle.theta, "theta_degrees": angle.degrees, **fields}
 
 
 @dataclass(frozen=True)
@@ -180,20 +178,7 @@ class SessionResult:
             raise ValueError("count ordering violated: need n_err <= n_con <= n_detected <= n_rounds")
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "table": self.table.to_json_dict(),
-            "s_ch_estimate": None if self.s_ch_estimate is None else dict(vars(self.s_ch_estimate)),
-            "qber": self.qber,
-            "n_con": self.n_con,
-            "n_err": self.n_err,
-            "n_detected": self.n_detected,
-            "rate_report": None if self.rate_report is None else self.rate_report.to_json_dict(),
-            "rate_report_extrapolated": None if self.rate_report_extrapolated is None
-            else self.rate_report_extrapolated.to_json_dict(),
-            "aborted": self.aborted,
-            "insufficient_statistics": self.insufficient_statistics,
-        }
+        return _json_fields(self)
 
 
 def _receiver_cells(k, eta_b: float, d: float) -> np.ndarray:
@@ -379,12 +364,7 @@ def _result_from_table(table: CorrelationTable, config: SessionConfig) -> Sessio
     if not insufficient:
         estimate = ch_value(table)
         qber = n_err / n_con
-        # finite-sample estimates can stray outside the gain formula's domain
-        s_eff = min(max(estimate.value, _CH_DOMAIN_LO), CH_QUANTUM_MAX)
-        gain = gain_from_ch(s_eff, qber)
-        rate = key_rate(n_con, gain)
-        raw, extrapolated = (RateReport(s_ch=estimate.value, s_chsh=4.0 * estimate.value + 2.0, qber=qber,
-                                        conclusive_fraction=f_con, gain=gain, rate=rate, normalized_rate=f_con * gain)
+        raw, extrapolated = (_rate_report(estimate.value, qber, f_con, n_con)
                              for f_con in (n_con / n_detected, n_con / n_detected_z))
     return SessionResult(config=config, table=table, s_ch_estimate=estimate, qber=qber, n_con=n_con,
                          n_err=n_err, n_detected=n_detected, rate_report=raw, rate_report_extrapolated=extrapolated,

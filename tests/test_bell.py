@@ -90,6 +90,16 @@ class TestCorrelationTable:
             data["pairs"]["00"][0], data["totals"]["00"] = big, big
             with pytest.raises(ValueError, match=r"2\*\*53"):
                 CorrelationTable.from_json_dict(data)
+        # a Python int beyond the float range is rejected the same way, not with an OverflowError
+        huge = np.zeros((2, 2, 3, 3)).tolist()
+        huge[0][0][0][0] = 10 ** 400
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            CorrelationTable(mode="count", grids=huge)
+        with pytest.raises(ValueError, match="must be finite"):
+            CorrelationTable(mode="probability", grids=huge)
+        data["pairs"]["00"][0], data["totals"]["00"] = 10 ** 400, 10 ** 400
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            CorrelationTable.from_json_dict(data)
         grids[0, 0, 0, 0] = 2 ** 53 - 1
         t = CorrelationTable(mode="count", grids=grids)
         assert t.grids[0, 0, 0, 0] == t.totals[0, 0] == 2 ** 53 - 1

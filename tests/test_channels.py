@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracle
+from entb92.bell import ch_with_loss
 from entb92.channels import (
     ChannelModel,
     JointState,
@@ -15,6 +17,7 @@ from entb92.channels import (
     usd_povm,
 )
 from entb92.qcore import DensityMatrix, Povm, born_probabilities, partial_trace
+from entb92.rates import binary_entropy, depolarized_ch, pm_reference_rate
 from entb92.states import ProtocolAngle, entangled_state, signal_state
 
 RNG = np.random.default_rng(41907)
@@ -44,9 +47,35 @@ class TestChannelModel:
         with pytest.raises(ValueError):
             ChannelModel(**kw)
 
+    def test_numbers_are_stored_as_floats(self):
+        ch = ChannelModel(eta_a=np.float32(0.5), eta_b=1, depol_p=np.float64(0.25))
+        assert [type(v) for v in (ch.eta_a, ch.eta_b, ch.depol_p)] == [float, float, float]
+
     def test_negative_zero_is_stored_as_zero(self):
         ch = ChannelModel(eta_a=-0.0, eta_b=-0.0, depol_p=-0.0)
         assert [math.copysign(1.0, v) for v in (ch.eta_a, ch.eta_b, ch.depol_p)] == [1.0, 1.0, 1.0]
+
+
+# every probability argument goes through one check, named as its call site names it
+PROBABILITY_SITES = {
+    "ChannelModel": (lambda v: ChannelModel(depol_p=v), "depol_p"),
+    "depolarize": (lambda v: depolarize(random_density(RNG), v), "depolarization probability"),
+    "lossy_povm": (lambda v: lossy_povm(Povm(z_projectors(), labels=("t", "o")), v), "efficiency"),
+    "ch_with_loss": (lambda v: ch_with_loss(1.0, v, 1.0), "eta_a"),
+    "binary_entropy": (binary_entropy, "binary entropy argument"),
+    "depolarized_ch": (lambda v: depolarized_ch(0.1, v), "depolarization probability"),
+    "pm_reference_rate": (pm_reference_rate, "depolarization probability"),
+}
+
+
+@pytest.mark.parametrize("site", PROBABILITY_SITES)
+def test_probabilities_reject_bools_and_strings(site):
+    call, name = PROBABILITY_SITES[site]
+    for bad in (True, False, np.bool_(True), "0.5", None, math.nan, math.inf, -0.1, 1.5):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [0, 1], got {bad!r}")):
+            call(bad)
+    for good in (0, 1, np.int64(1), np.float64(0.25), np.float32(0.5)):
+        call(good)
 
 
 class TestDepolarize:

@@ -21,6 +21,7 @@ from entb92.session import MAX_CHUNK_SIZE, MAX_CHUNKS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def read_csv(path):
@@ -192,6 +193,10 @@ class TestThresholds:
         data = json.loads(thresholds_output.read_text())
         schema_validator("thresholds").validate(data)
 
+    def test_default_json_is_pinned(self, thresholds_output):
+        # the golden file was written by the default invocation and is kept byte for byte
+        assert thresholds_output.read_bytes() == (FIXTURES / "thresholds_golden.json").read_bytes()
+
     def test_bracket_fields(self, thresholds_output):
         data = json.loads(thresholds_output.read_text())
         for entry in data["efficiency"].values():
@@ -332,19 +337,23 @@ class TestSimulate:
         assert message in err
         assert not (tmp_path / "s.json").exists()
 
-    @pytest.mark.parametrize("bad", ["output", "table_csv"])
+    @pytest.mark.parametrize("bad", ["output", "table_csv", "manifest"])
     def test_unwritable_output_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch, bad):
         def no_draw(*args, **kwargs):
             raise AssertionError("generator built before the outputs were checked")
 
         monkeypatch.setattr(np.random, "Philox", no_draw)
         paths = {"output": tmp_path / "o.json", "table_csv": tmp_path / "t.csv"}
-        paths[bad] = tmp_path / "missing" / paths[bad].name
+        if bad == "manifest":
+            blocked = tmp_path / "o.json.manifest.json"
+            blocked.mkdir()  # a directory where the manifest would be written
+        else:
+            blocked = paths[bad] = tmp_path / "missing" / paths[bad].name
         code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "100",
                                "--output", str(paths["output"]), "--table-csv", str(paths["table_csv"]))
         assert code == 2
-        assert str(paths[bad]) in err
-        assert list(tmp_path.rglob("*")) == []
+        assert str(blocked) in err
+        assert list(tmp_path.rglob("*")) == ([blocked] if bad == "manifest" else [])
 
     @pytest.mark.parametrize("table", ["o.json", "o.json.manifest.json"])
     def test_colliding_outputs_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch, table):
@@ -357,6 +366,20 @@ class TestSimulate:
         assert code == 2
         assert "must not share a path" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, flags", [
+        ("lossy", ["--eta-a", "0.9", "--eta-b", "0.8", "--depol", "0.02"]),
+        ("usd", ["--attack", "usd"]),
+    ], ids=["lossy", "usd"])
+    def test_session_is_pinned(self, tmp_path, run_cli, name, flags):
+        # the golden files were written by this invocation and are kept byte for byte;
+        # the manifest is not pinned, since it records the output paths
+        out, table = tmp_path / "s.json", tmp_path / "t.csv"
+        code, _, _ = run_cli("simulate", "--theta-deg", "60", "--rounds", "20000", "--seed", "7", *flags,
+                             "--output", str(out), "--table-csv", str(table))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / f"session_{name}_golden.json").read_bytes()
+        assert table.read_bytes() == (FIXTURES / f"session_{name}_golden.csv").read_bytes()
 
     def test_table_csv_side_output(self, tmp_path, run_cli):
         out = tmp_path / "s.json"
@@ -400,8 +423,7 @@ class TestAttackDemo:
         # the golden file was written by the default invocation and is kept byte for byte
         out = tmp_path / "attack_demo.csv"
         assert run_cli("attack-demo", "--output", str(out))[0] == 0
-        golden = Path(__file__).parent / "fixtures" / "attack_demo_golden.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        assert out.read_bytes() == (FIXTURES / "attack_demo_golden.csv").read_bytes()
 
 
 ANALYTIC_SUBCOMMANDS = ["attack-demo", "curve", "rate-curve", "thresholds"]

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from entb92 import qcore, rates
-from entb92.bell import ch_value, ch_with_loss, table_from_state
+from entb92.bell import CH_QUANTUM_MAX, ch_value, ch_with_loss, table_from_state
 from entb92.channels import ChannelModel, analytic_pipeline_state, depolarize
 from entb92.rates import (
     PM_REFERENCE_MAX_DEPOL,
@@ -165,16 +165,31 @@ class TestQberAndConclusive:
         with pytest.raises(ValueError):
             qber_and_conclusive(1.0, ChannelModel(attacker="usd"))
 
+    def test_receiver_angle_is_the_source_angle(self):
+        with pytest.raises(TypeError):
+            qber_and_conclusive(1.0, ChannelModel(), bob_theta=0.5)
+
 
 class TestRateReport:
     def test_normalized_rate_report_consistency(self):
-        rep = normalized_rate(math.pi / 3, 0.01)
-        assert isinstance(rep, RateReport)
-        assert rep.s_chsh == pytest.approx(4 * rep.s_ch + 2, abs=1e-12)
-        assert rep.normalized_rate == pytest.approx(
-            rep.conclusive_fraction * rep.gain, abs=1e-12)
-        assert rep.rate == rep.normalized_rate
-        assert 0.0 < rep.normalized_rate < rep.conclusive_fraction
+        # without a conclusive count, rate is the normalized rate
+        for rep in (normalized_rate(math.pi / 3, 0.01), rates._rate_report(0.1, 0.02, 0.4)):
+            assert isinstance(rep, RateReport)
+            assert rep.s_chsh == pytest.approx(4 * rep.s_ch + 2, abs=1e-12)
+            assert rep.normalized_rate == pytest.approx(
+                rep.conclusive_fraction * rep.gain, abs=1e-12)
+            assert rep.rate == rep.normalized_rate
+            assert 0.0 < rep.normalized_rate < rep.conclusive_fraction
+
+    def test_only_the_gain_reads_the_clipped_bell_value(self):
+        # an estimate beyond either root of the gain domain is reported as observed
+        rep = rates._rate_report(0.3, 0.0, 0.5, 10)
+        assert (rep.s_ch, rep.s_chsh) == (0.3, 3.2)
+        assert rep.gain == gain_from_ch(CH_QUANTUM_MAX, 0.0)
+        assert rep.rate == key_rate(10, rep.gain)
+        low = rates._rate_report(-2.0, 0.1, 0.5, 10)
+        assert (low.s_ch, low.s_chsh) == (-2.0, -6.0)
+        assert low.gain == gain_from_ch(rates._CH_DOMAIN_LO, 0.1)
 
     def test_zero_noise_point(self):
         rep = normalized_rate(math.pi / 3, 0.0)
