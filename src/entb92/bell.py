@@ -20,6 +20,7 @@ vacuum mass; it is exact whenever the table is non-signaling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,8 +77,14 @@ class CorrelationTable:
     def __init__(self, mode: str, grids):
         if mode not in ("probability", "count"):
             raise ValueError(f'mode must be "probability" or "count", got {mode!r}')
+        cells = grids if isinstance(grids, np.ndarray) and grids.dtype != object else np.array(grids, dtype=object)
+        # bools and numeric strings would convert silently; a Python int beyond int64 arrives as an object
+        bad = [x for x in cells.flat if isinstance(x, bool) or not isinstance(x, numbers.Real)] \
+            if cells.dtype == object else [] if cells.dtype.kind in "iuf" else [cells.dtype]
+        if bad:
+            raise ValueError(f"grid entries must be real numbers, got {bad[0]!r}")
         try:
-            arr = np.asarray(grids, dtype=float)
+            arr = np.asarray(cells, dtype=float)
         except OverflowError:  # a Python int beyond the float range
             raise ValueError("counts must be below 2**53" if mode == "count"
                              else "grid entries must be finite") from None
@@ -91,19 +98,30 @@ class CorrelationTable:
             # every integer below 2**53 survives the float conversion exactly; larger ones may not
             if np.any(arr >= 2.0 ** 53):
                 raise ValueError("counts must be below 2**53")
-            self._grids = arr.astype(np.int64)
-            self._totals = self._grids.sum(axis=(2, 3))
-            self._totals.setflags(write=False)
+            grids = arr.astype(np.int64)
         else:
             if np.any(arr < -_MARGINAL_ATOL):
                 raise ValueError("probabilities must be nonnegative")
             sums = arr.sum(axis=(2, 3))
             if np.any(np.abs(sums - 1.0) > _MARGINAL_ATOL):
                 raise ValueError("each probability grid must sum to 1 within 1e-9")
-            self._grids = np.clip(arr, 0.0, None)
-            self._totals = None
-        self._grids.setflags(write=False)
-        self._mode = mode
+            grids = np.clip(arr, 0.0, None)
+        self._adopt(mode, grids)
+
+    def _adopt(self, mode: str, grids: np.ndarray) -> None:
+        """Take ``grids`` as they stand, read-only; a count table derives its totals."""
+        self._mode, self._grids = mode, grids
+        self._totals = grids.sum(axis=(2, 3)) if mode == "count" else None
+        grids.setflags(write=False)
+        if self._totals is not None:
+            self._totals.setflags(write=False)
+
+    @classmethod
+    def _from_tally(cls, counts: np.ndarray) -> "CorrelationTable":
+        """Count table of the package's own int64 tally, below 2**53 by construction: no checks, no copy."""
+        table = cls.__new__(cls)
+        table._adopt("count", counts)
+        return table
 
     @property
     def mode(self) -> str:
@@ -128,7 +146,7 @@ class CorrelationTable:
         for key in PAIR_KEYS:
             if np.shape(data["pairs"][key]) != (9,):
                 raise ValueError(f"pair {key} must hold 9 values")
-        table = cls(data["mode"], np.reshape([data["pairs"][key] for key in PAIR_KEYS], (2, 2, 3, 3)))
+        table = cls(data["mode"], np.array([data["pairs"][key] for key in PAIR_KEYS], dtype=object).reshape(2, 2, 3, 3))
         totals, expected = data.get("totals"), table.to_json_dict()["totals"]
         if totals != expected:
             raise ValueError(f"totals must be {expected!r} on this {table.mode} table, got {totals!r}")

@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
@@ -86,21 +87,36 @@ def _fmt(value: float) -> str:
 def _check_writable(*paths: str) -> None:
     """Raise up front if an output, or the manifest beside ``paths[0]``, could not be written or would overwrite."""
     outputs = (*paths, f"{paths[0]}.manifest.json")
-    if len({os.path.realpath(p) for p in outputs}) < len(outputs):
-        raise ValueError(f"outputs must not share a path: {', '.join(paths)}")
+    names, writable = set(), []
     for path in outputs:
-        directory = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path) or not (os.access(path, os.W_OK) if os.path.exists(path)
-                                       else os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        try:
+            found = os.stat(path)
+        except OSError:  # a new file, in a directory that must take it
+            names.add(os.path.realpath(path))
+            directory = os.path.dirname(os.path.abspath(path))
+            writable.append(os.path.isdir(directory) and os.access(directory, os.W_OK))
+        else:  # an existing file, named by its inode: one call, where resolving its path takes one per component
+            names.add((found.st_dev, found.st_ino))
+            writable.append(not stat.S_ISDIR(found.st_mode) and os.access(path, os.W_OK))
+    if len(names) < len(outputs):
+        raise ValueError(f"outputs must not share a path: {', '.join(paths)}")
+    for path, ok in zip(outputs, writable):
+        if not ok:
             raise OSError(f"cannot write {path!r}: not a writable file path")
 
 
-def _finish(args, params=None, seed=None, extra=()) -> None:
+def _extra_outputs(args) -> tuple:
+    """The outputs besides ``--output`` and its manifest: simulate's ``--table-csv``, when given."""
+    table_csv = getattr(args, "table_csv", None)
+    return () if table_csv is None else (table_csv,)
+
+
+def _finish(args, params=None, seed=None) -> None:
     """Write the manifest of the outputs; ``params`` defaults to every parsed flag but ``--output``."""
     if params is None:
         params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "output")}
     manifest = RunManifest(args.subcommand, params, seed)
-    for path in (args.output, *extra):
+    for path in (args.output, *_extra_outputs(args)):
         manifest.add_output(path)
     manifest.write(args.output)
 
@@ -251,16 +267,13 @@ def cmd_simulate(args) -> int:
         abort_threshold=params["abort_threshold"],
         chunk_size=params["chunk_size"],
     )
-    extra = () if args.table_csv is None else (args.table_csv,)
-    # a long session must not be lost to an output path that cannot be written
-    _check_writable(args.output, *extra)
     result = run_session(config, workers=args.workers)
     _write_json(args.output, result.to_json_dict())
     if args.table_csv is not None:
         rows = [[*cell, int(n)] for cell, n in np.ndenumerate(result.table.grids)]
         _write_csv(args.table_csv,
                    ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows)
-    _finish(args, {**params, "workers": args.workers}, config.seed, extra=extra)
+    _finish(args, {**params, "workers": args.workers}, config.seed)
     return EXIT_INSUFFICIENT if result.insufficient_statistics else EXIT_OK
 
 
@@ -340,6 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # no run may be lost to an output path that cannot be written, so every subcommand checks first
+        _check_writable(args.output, *_extra_outputs(args))
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         parser.exit(EXIT_CONFIG, f"{parser.prog}: error: {exc}\n")

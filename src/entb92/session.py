@@ -12,7 +12,7 @@ tallies merge associatively. Results are therefore bit-identical across
 worker counts.
 
 Round outcomes are sampled from the exact Born cells of ``_born_stages``,
-which ``born_table`` also returns, precomputed once per session as two CDF
+which ``born_table`` also returns, precomputed once per setting as two CDF
 tables and their integer thresholds ``ceil(cdf * 2^64)``. One decode turns
 a round's words into its cell by a guide-table lookup; the chunked tally
 and the scalar ``sample_round`` both run it.
@@ -53,8 +53,10 @@ _CELLS = tuple(
      (row, 1 - j) if i == 0 and row < 2 and col == 0 else None)
     for i in (0, 1) for j in (0, 1) for row in range(3) for col in range(3))
 _KEY_BIT = dict(_CELLS)
-_KEY_CELLS = np.reshape([bit is not None for _, bit in _CELLS], (2, 2, 3, 3))
-_ERROR_CELLS = np.reshape([bit is not None and bit[0] != bit[1] for _, bit in _CELLS], (2, 2, 3, 3))
+# (36, 4) 0/1 weight of each cell in n_detected (both sides click), n_detected_z (and the sender measures Z),
+# n_con (a key round) and n_err (a key round whose bits differ)
+_COUNTED = np.array([(clicked, clicked and basis == "Z", bit is not None, bit is not None and bit[0] != bit[1])
+                     for (basis, a, _, b), bit in _CELLS for clicked in [a != "vacuum" and b != "vacuum"]], np.int64)
 
 
 def _integer(name: str, value) -> int:
@@ -181,12 +183,6 @@ class SessionResult:
         return _json_fields(self)
 
 
-def _receiver_cells(k, eta_b: float, d: float) -> np.ndarray:
-    """(conclusive, inconclusive, vacuum) at conclusive overlap k, depolarized to d k + (1 - d)/2."""
-    con = eta_b * (d * k + (1.0 - d) / 2.0)
-    return np.stack([con, eta_b - con, np.full_like(con, 1.0 - eta_b)], axis=-1)
-
-
 def _with_sender_rows(w, per_ket, eta_a: float) -> np.ndarray:
     """Rows (ket 0, ket 1, vacuum) along axis -2: sender row r clicks with eta_a w_r."""
     joint = w[..., None] * per_ket
@@ -204,18 +200,29 @@ def _born_stages(angle: ProtocolAngle, channel: ChannelModel):
     d = 1.0 - 4.0 * channel.depol_p / 3.0
     s2, c2 = math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2
     a2, b2 = angle.alpha ** 2, angle.beta ** 2
-    w = np.array([[0.5, 0.5], [a2, b2]])  # (i, row)
+    eta_b = channel.eta_b
+
+    def receiver(k: float) -> list:
+        """(conclusive, inconclusive, vacuum) at conclusive overlap k, depolarized to d k + (1 - d)/2."""
+        con = eta_b * (d * k + (1.0 - d) / 2.0)
+        return [con, eta_b - con, 1.0 - eta_b]
+
+    off, on = receiver(0.0), receiver(s2)
     if channel.attacker == "none":
-        # overlap of the ket steered by (i, row) with the conclusive ket of B_j
-        k = np.array([[[0.0, s2], [s2, 0.0]], [[b2, a2], [b2, a2]]])  # (i, j, row)
-        return _with_sender_rows(w[:, None], _receiver_cells(k, channel.eta_b, d), channel.eta_a), None
+        # (i, j, row): the ket steered by (i, row) against the conclusive ket of B_j
+        x_rows = [receiver(b2), receiver(a2)]
+        per_ket = np.array([[[off, on], [on, off]], [x_rows, x_rows]])
+        w = np.array([[[0.5, 0.5]], [[a2, b2]]])  # (i, j, row), the same for both j
+        return _with_sender_rows(w, per_ket, channel.eta_a), None
     # P(e | ket) for e = identified_1, identified_0, ambiguous_0, ambiguous_1
     eve = 0.5 * np.array([[[0.0, s2, 1.0, c2], [s2, 0.0, c2, 1.0]],
                           [[b2, b2, a2, a2], [a2, a2, b2, b2]]])  # (i, row, e)
-    # e = 0 resends signal 1 and e = 1 signal 0; B_j clicks on signal s != j
-    resent = _receiver_cells(s2 * np.eye(2), channel.eta_b, d)  # (e, j, col)
-    suppressed = np.broadcast_to([0.0, 0.0, 1.0], (2, 2, 3))  # receiver sees vacuum
-    return _with_sender_rows(w, eve, channel.eta_a), np.concatenate([resent, suppressed])
+    # e = 0 resends signal 1 and e = 1 signal 0, and B_j clicks on signal s != j;
+    # on e = 2, 3 the attacker suppresses the photon and the receiver sees vacuum
+    suppressed = [0.0, 0.0, 1.0]
+    receiver_cells = np.array([[on, off], [off, on], [suppressed] * 2, [suppressed] * 2])  # (e, j, col)
+    w = np.array([[0.5, 0.5], [a2, b2]])  # (i, row)
+    return _with_sender_rows(w, eve, channel.eta_a), receiver_cells
 
 
 def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
@@ -230,7 +237,7 @@ def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
 
 
 class _Distributions:
-    """Per-session sampling tables: the cumulative sums of ``_born_stages``.
+    """Sampling tables of one setting: the cumulative sums of ``_born_stages``.
 
     ``stage1`` holds one CDF per basis pair ``2i + j`` (the 12-cell joint of
     sender row and attacker branch e on attacked sessions); ``stage2``, None
@@ -245,10 +252,10 @@ class _Distributions:
         self.test_fraction = test_fraction
         stage1, stage2 = _born_stages(angle, channel)
         if stage2 is None:
-            self.stage1 = rows = np.cumsum(stage1.reshape(4, 9), axis=1)
+            self.stage1 = rows = stage1.reshape(4, 9).cumsum(axis=1)
         else:
-            self.stage1 = np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0)
-            stage2 = np.cumsum(stage2, axis=2).reshape(8, 3)
+            self.stage1 = stage1.reshape(2, 12).cumsum(axis=1).repeat(2, axis=0)
+            stage2 = stage2.cumsum(axis=2).reshape(8, 3)
             stage2.setflags(write=False)
             rows = np.ones((12, 12))  # pads with entries no word reaches
             rows[:4], rows[4:, :2] = self.stage1, stage2[:, :2]
@@ -266,31 +273,49 @@ def _word_tables(cum: np.ndarray):
     reaches. A word's cell, the count of its row's thresholds <= it, is then
     the clipped ``searchsorted(row, u, side="right")``. Guide entry b is that
     count at the bucket's first word ``b << 52``, or'ed with ``_MIXED`` when a
-    reachable threshold falls later in the bucket, ``t >> 52``.
+    reachable threshold falls later in the bucket. Thresholds stay exact as
+    floats up to the 2^64 that marks an unreachable one, and scaling them by
+    2^-52 to their bucket position q is exact too.
     """
-    scaled = np.ceil(cum * 2.0 ** 64)
+    scaled = np.ceil(np.minimum(cum, 1.0) * 2.0 ** 64)
     scaled[:, -1] = 2.0 ** 64
-    over = scaled >= 2.0 ** 64
-    bounds = np.where(over, 0.0, scaled).astype(np.uint64)
+    q = scaled * 2.0 ** -52
+    over = q == _BUCKETS
+    scaled[over] = 0.0
+    bounds = scaled.astype(np.uint64)
     bounds[over] = ~np.uint64(0)
-    # flat guide index of each threshold's bucket
-    bucket = (bounds >> _GUIDE_SHIFT).astype(np.intp) + np.arange(len(cum))[:, None] * _BUCKETS
-    inside = (bounds << (64 - _GUIDE_SHIFT)) != 0
-    # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(t / 2^52), to that of k;
-    # a row's all-ones last threshold ends it at the start of the next row
-    first = (bucket + inside).ravel()
-    guide = np.tile(np.arange(cum.shape[1], dtype=np.uint8), len(cum)).repeat(first - np.append(0, first[:-1]))
-    guide[bucket[inside & ~over]] |= _MIXED
+    # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(q), to that of k
+    first = np.ceil(q)
+    filled = first.astype(np.intp)
+    filled[:, 1:] -= filled[:, :-1]
+    guide = (np.arange(cum.size, dtype=np.uint8) % cum.shape[1]).repeat(filled.ravel()).reshape(len(cum), _BUCKETS)
+    # a reachable threshold past its bucket's first word splits the bucket below ceil(q)
+    rows, cols = np.nonzero(first != q)
+    guide[rows, first[rows, cols].astype(np.intp) - 1] |= _MIXED
     guide.setflags(write=False)
     bounds.setflags(write=False)
-    return guide.reshape(len(cum), _BUCKETS), bounds
+    return guide, bounds
 
 
 @functools.lru_cache(maxsize=16)
 def _shared_distributions(angle: ProtocolAngle, channel: ChannelModel,
                           test_fraction: float) -> _Distributions:
-    """The tables of one setting, built on its first ``sample_round`` only."""
+    """The tables of one setting, built on its first ``sample_round`` or ``run_session`` only."""
     return _Distributions(angle, channel, test_fraction)
+
+
+_THREAD = threading.local()
+
+
+def _words(seed: int, start: int, n: int) -> np.ndarray:
+    """``Philox(key=seed, counter=start).random_raw(4 * n)``, from this thread's one generator with its state set:
+    a new Philox costs several times more, seeding itself from OS entropy that the key then replaces."""
+    philox = getattr(_THREAD, "philox", None)
+    if philox is None:
+        philox = _THREAD.philox = np.random.Philox(0)
+    philox.state = {"bit_generator": "Philox", "state": {"counter": (start, 0, 0, 0), "key": (seed, 0)},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return philox.random_raw(4 * n)
 
 
 def _search(word: np.ndarray, row: np.ndarray, dist: _Distributions) -> np.ndarray:
@@ -354,12 +379,8 @@ def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> Round
 
 
 def _result_from_table(table: CorrelationTable, config: SessionConfig) -> SessionResult:
-    g = table.grids
-    n_detected = int(g[:, :, 0:2, 0:2].sum())
-    n_detected_z = int(g[0, :, 0:2, 0:2].sum())
-    n_con = int(g[_KEY_CELLS].sum())
-    n_err = int(g[_ERROR_CELLS].sum())
-    insufficient = n_con == 0 or bool(np.any(table.totals == 0))
+    n_detected, n_detected_z, n_con, n_err = (table.grids.reshape(36) @ _COUNTED).tolist()
+    insufficient = n_con == 0 or not table.totals.all()
     estimate = qber = raw = extrapolated = None
     if not insufficient:
         estimate = ch_value(table)
@@ -383,13 +404,15 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
-    dist = _Distributions(config.angle, config.channel, config.test_fraction)
+    dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
     starts = range(0, config.n_rounds, config.chunk_size)
-    threads = min(workers, len(starts), os.cpu_count() or 1)
+    threads = min(workers, len(starts))
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
 
     def tally(start: int) -> np.ndarray:
         n = min(config.chunk_size, config.n_rounds - start)
-        words = np.random.Philox(key=config.seed, counter=start).random_raw(4 * n).reshape(n, 4)
+        words = _words(config.seed, start, n).reshape(n, 4)
         words &= _WORD_BITS  # now exactly Generator.random() * 2^64
         return _tally_chunk(words, dist)
 
@@ -407,4 +430,5 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             total = sum(pool.map(work, range(threads)))
     else:
         total = work(0)
-    return _result_from_table(CorrelationTable("count", total), config)
+    # a session holds at most MAX_CHUNKS * MAX_CHUNK_SIZE = 2^38 rounds, so every count is exact below 2**53
+    return _result_from_table(CorrelationTable._from_tally(total), config)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,30 @@ class TestCorrelationTable:
         t = CorrelationTable(mode="count", grids=grids)
         assert t.grids[0, 0, 0, 0] == t.totals[0, 0] == 2 ** 53 - 1
         assert CorrelationTable.from_json_dict(t.to_json_dict()).totals[0, 0] == 2 ** 53 - 1
+
+    @pytest.mark.parametrize("mode, fill", [("count", 1), ("probability", 1 / 9)])
+    def test_cells_must_be_real_numbers(self, mode, fill):
+        # bools and numeric strings once converted silently, in lists and in arrays alike;
+        # a nested cell makes the grid ragged, and the error names the cell
+        for bad in (True, np.True_, "5", None, [fill, fill]):
+            grids = np.full((2, 2, 3, 3), fill).tolist()
+            grids[0][0][0][0] = bad
+            with pytest.raises(ValueError, match=re.escape(f"real numbers, got {bad!r}")):
+                CorrelationTable(mode, grids)
+        for grids in (np.ones((2, 2, 3, 3), dtype=bool), np.full((2, 2, 3, 3), "1"),
+                      np.full((2, 2, 3, 3), fill, dtype=object), np.ones((2, 2, 3, 3), dtype=complex)):
+            if grids.dtype == object:
+                grids[1, 1, 2, 2] = "1"
+            with pytest.raises(ValueError, match="real numbers"):
+                CorrelationTable(mode, grids)
+        data = CorrelationTable(mode, np.full((2, 2, 3, 3), fill)).to_json_dict()
+        for pair in (["1"] * 9, [True] * 9, [fill] * 8 + ["1"]):
+            with pytest.raises(ValueError, match="real numbers"):
+                CorrelationTable.from_json_dict({**data, "pairs": {**data["pairs"], "00": pair}})
+        # numpy scalars and plain ints and floats are numbers
+        grids = np.full((2, 2, 3, 3), fill, dtype=object)
+        grids[0, 0, 0, 0] = np.float64(fill) if mode == "probability" else np.int64(fill)
+        assert CorrelationTable(mode, grids).grids.tolist() == np.full((2, 2, 3, 3), fill).tolist()
 
     def test_pair_probabilities_empty_pair_rejected(self):
         grids = np.zeros((2, 2, 3, 3), dtype=np.int64)

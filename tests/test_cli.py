@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracle
+from entb92 import session
 from entb92.cli import build_parser
 from entb92.rates import optimal_theta, pm_reference_rate
 from entb92.session import MAX_CHUNK_SIZE, MAX_CHUNKS
@@ -328,9 +330,9 @@ class TestSimulate:
     def test_oversized_round_count_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch,
                                                             argv, message):
         def no_draw(*args, **kwargs):
-            raise AssertionError("generator built for an oversized session")
+            raise AssertionError("rounds drawn for an oversized session")
 
-        monkeypatch.setattr(np.random, "Philox", no_draw)
+        monkeypatch.setattr(session, "_words", no_draw)
         code, _, err = run_cli("simulate", "--theta-deg", "60", *argv,
                                "--output", str(tmp_path / "s.json"))
         assert code == 2
@@ -340,9 +342,9 @@ class TestSimulate:
     @pytest.mark.parametrize("bad", ["output", "table_csv", "manifest"])
     def test_unwritable_output_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch, bad):
         def no_draw(*args, **kwargs):
-            raise AssertionError("generator built before the outputs were checked")
+            raise AssertionError("rounds drawn before the outputs were checked")
 
-        monkeypatch.setattr(np.random, "Philox", no_draw)
+        monkeypatch.setattr(session, "_words", no_draw)
         paths = {"output": tmp_path / "o.json", "table_csv": tmp_path / "t.csv"}
         if bad == "manifest":
             blocked = tmp_path / "o.json.manifest.json"
@@ -358,14 +360,27 @@ class TestSimulate:
     @pytest.mark.parametrize("table", ["o.json", "o.json.manifest.json"])
     def test_colliding_outputs_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch, table):
         def no_draw(*args, **kwargs):
-            raise AssertionError("generator built before the outputs were checked")
+            raise AssertionError("rounds drawn before the outputs were checked")
 
-        monkeypatch.setattr(np.random, "Philox", no_draw)
+        monkeypatch.setattr(session, "_words", no_draw)
         code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "100",
                                "--output", str(tmp_path / "o.json"), "--table-csv", str(tmp_path / table))
         assert code == 2
         assert "must not share a path" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink])
+    @pytest.mark.parametrize("table", ["t.csv", "o.json.manifest.json"])
+    def test_existing_outputs_naming_one_file_rejected(self, tmp_path, run_cli, link, table):
+        # distinct names that an earlier run left pointing at one file
+        (tmp_path / "o.json").write_text("kept")
+        link(tmp_path / "o.json", tmp_path / table)
+        argv = ["--table-csv", str(tmp_path / table)] if table == "t.csv" else []
+        code, _, err = run_cli("simulate", "--theta-deg", "60", "--rounds", "100",
+                               "--output", str(tmp_path / "o.json"), *argv)
+        assert code == 2
+        assert "must not share a path" in err
+        assert (tmp_path / "o.json").read_text() == "kept"
 
     @pytest.mark.parametrize("name, flags", [
         ("lossy", ["--eta-a", "0.9", "--eta-b", "0.8", "--depol", "0.02"]),
@@ -438,6 +453,22 @@ def test_nonpositive_workers_rejected(tmp_path, run_cli, subcommand, workers):
     assert code == 2
     assert "--workers" in err and "positive integer" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, argv", [
+    ("curve", ["--points", "3"]),
+    ("rate-curve", ["--p-max", "0.001", "--p-step", "0.001"]),
+    ("thresholds", []),
+    ("attack-demo", ["--points", "3"]),
+    ("simulate", ["--theta-deg", "60", "--rounds", "100"]),
+])
+def test_unwritable_manifest_rejected_before_computing(tmp_path, run_cli, subcommand, argv):
+    blocked = tmp_path / "out.manifest.json"
+    blocked.mkdir()  # a directory where the manifest would be written
+    code, _, err = run_cli(subcommand, *argv, "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert str(blocked) in err
+    assert list(tmp_path.iterdir()) == [blocked]
 
 
 @pytest.mark.parametrize("subcommand, flag", [

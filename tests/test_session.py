@@ -1,4 +1,6 @@
 import bisect
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 import entb92
 import oracle
 from entb92 import channels, cli, qcore, session
-from entb92.bell import table_from_state
+from entb92.bell import CorrelationTable, table_from_state
 from entb92.channels import (
     ChannelModel,
     analytic_pipeline_state,
@@ -371,14 +373,7 @@ class TestWordKernel:
                            np.array(w3s, dtype=np.uint64)[:: max(1, len(w3s) // 40)], indexing="ij")
         raw = np.stack([np.asarray(g, dtype=np.uint64).ravel() for g in grid], axis=1)
 
-        class CraftedPhilox:
-            def __init__(self, key, counter):
-                self.counter = counter
-
-            def random_raw(self, size):
-                return raw.ravel()[4 * self.counter:4 * self.counter + size].copy()
-
-        monkeypatch.setattr(np.random, "Philox", CraftedPhilox)
+        monkeypatch.setattr(session, "_words", lambda seed, start, n: raw[start:start + n].ravel().copy())
         res = run_session(SessionConfig(angle=ANG, n_rounds=len(raw), channel=channel, chunk_size=997))
         want = np.zeros((2, 2, 3, 3), dtype=np.int64)
         np.add.at(want, tuple(np.array(searchsorted_cells((raw >> 11) * 2.0 ** -53, dist)).T), 1)
@@ -641,6 +636,96 @@ class TestRunSession:
         assert d["n_con"] == res.n_con
         assert d["aborted"] is False
         assert "table" in d and d["table"]["mode"] == "count"
+
+
+# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned before the per-session set-up was rewritten:
+# any change to a byte of a session's output, at any worker count or chunk size, changes it
+SESSION_MATRIX_SHA256 = "2c49c0b06cad17bd2b99e034e4669318817d531d8d7df94c9a89a7ae9202d996"
+SESSION_MATRIX = list(itertools.product(("none", "usd"), (1, 2), (1, 7, 65536), (1, 64, 20000)))
+
+
+class TestFixedPath:
+    """What a session does once, around its tally: the tables, the generator and the result."""
+
+    def test_session_matrix_is_pinned(self):
+        docs = []
+        for k, (attacker, workers, chunk_size, n_rounds) in enumerate(SESSION_MATRIX):
+            # a distinct setting for every session, so none reuses another's tables
+            config = SessionConfig(angle=ProtocolAngle.from_degrees(40.0 + 0.5 * k), n_rounds=n_rounds,
+                                   chunk_size=chunk_size, seed=k,
+                                   channel=ChannelModel(eta_a=0.95, eta_b=0.85, depol_p=0.02, attacker=attacker))
+            docs.append(run_session(config, workers=workers).to_json_dict())
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == SESSION_MATRIX_SHA256
+
+    def test_session_counts_stay_exact_floats(self):
+        # why run_session may adopt its own tally without CorrelationTable's checks
+        assert MAX_CHUNKS * MAX_CHUNK_SIZE < 2 ** 53
+
+    def test_trusted_table_matches_validated_table(self):
+        rng = np.random.default_rng(11)
+        tallies = [rng.integers(0, 2 ** 32, (2, 2, 3, 3)) for _ in range(20)]
+        tallies += [rng.integers(0, 50, (2, 2, 3, 3)) for _ in range(20)]
+        tallies.append(np.zeros((2, 2, 3, 3), dtype=np.int64))
+        one_empty = rng.integers(1, 1000, (2, 2, 3, 3))
+        one_empty[1, 0] = 0  # a setting pair never sampled
+        tallies.append(one_empty)
+        near_cap = np.full((2, 2, 3, 3), (2 ** 38 - 1) // 36, dtype=np.int64)
+        near_cap[0, 0, 0, 0] += 2 ** 38 - 1 - near_cap.sum()
+        tallies.append(near_cap)
+        config = cfg(n_rounds=2 ** 38, chunk_size=MAX_CHUNK_SIZE)
+        for grid in tallies:
+            grid = grid.astype(np.int64)
+            trusted = session._result_from_table(CorrelationTable._from_tally(grid.copy()), config)
+            validated = session._result_from_table(CorrelationTable("count", grid), config)
+            assert json.dumps(trusted.to_json_dict()) == json.dumps(validated.to_json_dict())
+            # the one contraction against the cell map gives the masked sums
+            assert (trusted.n_detected, trusted.n_con, trusted.n_err) == (
+                grid[:, :, :2, :2].sum(), grid[0, :, :2, 0].sum(), grid[0, 0, 0, 0] + grid[0, 1, 1, 0])
+            assert not trusted.table.grids.flags.writeable and not trusted.table.totals.flags.writeable
+        assert near_cap.sum() == 2 ** 38 - 1
+
+    @pytest.mark.parametrize("seed", [12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("start", [0, 65536 + 3])
+    def test_reused_generator_draws_each_chunk_from_its_own_counter(self, seed, start):
+        run_session(cfg(n_rounds=3000, seed=99, chunk_size=1000))  # leaves this thread's generator elsewhere
+        want = np.random.Philox(key=seed, counter=start).random_raw(4 * 1000)
+        np.testing.assert_array_equal(session._words(seed, start, 1000), want)
+
+    def test_threads_with_their_own_generators_match_one_thread(self, monkeypatch):
+        # more threads than cores, switching often, each drawing many short chunks from its reused generator
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        config = cfg(n_rounds=5000, seed=21, chunk_size=7, channel=ChannelModel(eta_b=0.9, attacker="usd"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tables = [run_session(config, workers=8).table.grids for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for grids in tables:
+            np.testing.assert_array_equal(grids, run_session(config).table.grids)
+
+    @pytest.mark.parametrize("workers, n_rounds", [(1, 5000), (4, 100)])
+    def test_cpu_count_read_only_when_threads_could_help(self, monkeypatch, workers, n_rounds):
+        def no_count():
+            raise AssertionError("cpu_count read for a session that runs on one thread")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        run_session(cfg(n_rounds=n_rounds, chunk_size=1000), workers=workers)
+
+    def test_sessions_share_the_tables_of_one_setting(self, monkeypatch):
+        builds = []
+        real_init = _Distributions.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            real_init(self, *args)
+
+        session._shared_distributions.cache_clear()
+        monkeypatch.setattr(_Distributions, "__init__", counting_init)
+        for seed in range(3):
+            run_session(cfg(n_rounds=100, seed=seed))
+        assert builds == [(ANG, ChannelModel(), 0.25)]
 
 
 def test_package_exports_resolve_once():
