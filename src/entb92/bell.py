@@ -46,6 +46,9 @@ _CHSH_SIGNS = np.array([[1.0, -1.0, -1.0],
 _CH_JOINT = np.zeros((2, 2, 3, 3))
 _CH_JOINT[:, :, 0, 0] = [[-1.0, 1.0], [1.0, 1.0]]
 
+# a probability table weighs both pairs of a setting equally in its marginals
+_HALVES = np.full(2, 0.5)
+
 
 @dataclass(frozen=True)
 class BellValue:
@@ -70,8 +73,9 @@ class CorrelationTable:
     ``grids`` has shape (2, 2, 3, 3): axes are (sender setting, receiver
     setting, sender outcome, receiver outcome) with outcomes ordered
     (target, orthogonal, vacuum). In probability mode every 3x3 grid sums to
-    1 within 1e-9 and ``totals`` is None; in count mode the grids hold
-    nonnegative integers below 2**53 and ``totals`` are the per-pair sums.
+    1 and no setting marginal depends on the partner's setting, both within
+    1e-9, and ``totals`` is None; in count mode the grids hold nonnegative
+    integers below 2**53 and ``totals`` are the per-pair sums.
     """
 
     def __init__(self, mode: str, grids):
@@ -90,9 +94,9 @@ class CorrelationTable:
                              else "grid entries must be finite") from None
         if arr.shape != (2, 2, 3, 3):
             raise ValueError(f"grids must have shape (2, 2, 3, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("grid entries must be finite")
         if mode == "count":
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("grid entries must be finite")
             if np.any(arr < 0) or not np.array_equal(arr, np.round(arr)):
                 raise ValueError("count-mode grids must hold nonnegative integers")
             # every integer below 2**53 survives the float conversion exactly; larger ones may not
@@ -100,12 +104,7 @@ class CorrelationTable:
                 raise ValueError("counts must be below 2**53")
             grids = arr.astype(np.int64)
         else:
-            if np.any(arr < -_MARGINAL_ATOL):
-                raise ValueError("probabilities must be nonnegative")
-            sums = arr.sum(axis=(2, 3))
-            if np.any(np.abs(sums - 1.0) > _MARGINAL_ATOL):
-                raise ValueError("each probability grid must sum to 1 within 1e-9")
-            grids = np.clip(arr, 0.0, None)
+            grids = _checked_probabilities(arr)
         self._adopt(mode, grids)
 
     def _adopt(self, mode: str, grids: np.ndarray) -> None:
@@ -156,15 +155,34 @@ class CorrelationTable:
         return f"CorrelationTable(mode={self._mode!r})"
 
 
+def _checked_probabilities(arr: np.ndarray) -> np.ndarray:
+    """A stack (..., 2, 2, 3, 3) of probability grids, checked, with its cells clipped at 0.
+
+    Every cell must be finite and at least -1e-9, each pair's nine cells must
+    sum to 1, and each party's marginal on a setting must not depend on the
+    partner's setting, both within 1e-9.
+    """
+    lo, hi = arr.min(), arr.max()  # a nan spreads to both, and an infinity reaches one
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("grid entries must be finite")
+    if lo < -_MARGINAL_ATOL:
+        raise ValueError("probabilities must be nonnegative")
+    if np.abs(_pair_sums(arr) - 1.0).max() > _MARGINAL_ATOL:
+        raise ValueError("each probability grid must sum to 1 within 1e-9")
+    g = np.maximum(arr, 0.0)
+    # (..., k, partner's setting): the sender's outcome-0 marginal on setting k, then the receiver's
+    marginals = np.concatenate([g[..., 0, :].sum(axis=-1), g[..., :, 0].sum(axis=-1).swapaxes(-1, -2)], axis=-2)
+    worst = np.abs(marginals[..., 0] - marginals[..., 1]).max()
+    if worst > _MARGINAL_ATOL:
+        raise ValueError(f"setting marginals disagree across pairs by {worst:.3e}")
+    return g
+
+
 def _probabilities(table: CorrelationTable):
     """Per-pair probabilities, and the weights of pairs (1, j) and (i, 1) in the pooled marginals."""
     g = table.grids
     if table.mode == "probability":
-        rows, cols = g[:, :, 0, :].sum(axis=2), g[:, :, :, 0].sum(axis=2)
-        worst = max(np.abs(rows[:, 0] - rows[:, 1]).max(), np.abs(cols[0] - cols[1]).max())
-        if worst > _MARGINAL_ATOL:
-            raise ValueError(f"setting marginals disagree across pairs by {worst:.3e}")
-        return g, np.full(2, 0.5), np.full(2, 0.5)
+        return g, _HALVES, _HALVES
     n = table.totals
     if np.any(n == 0):
         i, j = np.argwhere(n == 0)[0]
@@ -173,8 +191,30 @@ def _probabilities(table: CorrelationTable):
 
 
 def _pair_sums(terms: np.ndarray) -> np.ndarray:
-    """(2, 2) sums of each pair's nine contiguous cells; this order fixes the rounding."""
-    return terms.reshape(2, 2, 9).sum(axis=2)
+    """(..., 2, 2) sums of each pair's nine contiguous cells; this order fixes the rounding."""
+    return terms.reshape(terms.shape[:-2] + (9,)).sum(axis=-1)
+
+
+def _ch_coefficients(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+    """Weight of each cell in S_CH: the joint terms, less the pooled marginals P(a1) and P(b1)."""
+    coeff = _CH_JOINT.copy()
+    coeff[1, :, 0, :] -= w_a[:, None]
+    coeff[:, 1, :, 0] -= w_b[:, None]
+    return coeff
+
+
+_CH_PROBABILITY = _ch_coefficients(_HALVES, _HALVES)
+
+
+def _ch_sum(mean: np.ndarray):
+    """S_CH from its (..., 2, 2) pair terms, added left to right from 0; this order fixes the rounding."""
+    # one table's terms add fastest as floats; a stack's as one (n,) row per pair
+    return sum(mean.ravel().tolist() if mean.ndim == 2 else mean.reshape(-1, 4).T)
+
+
+def _probability_ch(grids: np.ndarray) -> np.ndarray:
+    """S_CH of each table of a stack (..., 2, 2, 3, 3) of probability grids, after the checks of a probability table."""
+    return _ch_sum(_pair_sums(_CH_PROBABILITY * _checked_probabilities(grids)))
 
 
 def _standard_error(table: CorrelationTable, variances: np.ndarray) -> float:
@@ -192,12 +232,10 @@ def ch_value(table: CorrelationTable) -> BellValue:
     multinomial delta-method estimate; analytic tables get 0.
     """
     p, w_a, w_b = _probabilities(table)
-    coeff = _CH_JOINT.copy()
-    coeff[1, :, 0, :] -= w_a[:, None]
-    coeff[:, 1, :, 0] -= w_b[:, None]
+    coeff = _ch_coefficients(w_a, w_b)
     mean = _pair_sums(coeff * p)
     second = _pair_sums(coeff ** 2 * p)
-    return BellValue(sum(mean.ravel().tolist()), _standard_error(table, second - mean * mean))
+    return BellValue(float(_ch_sum(mean)), _standard_error(table, second - mean * mean))
 
 
 def chsh_value(table: CorrelationTable) -> BellValue:

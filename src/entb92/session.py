@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bell import BellValue, CorrelationTable, ch_value
+from .bell import BellValue, CorrelationTable, _probability_ch, ch_value
 from .channels import ChannelModel
 from .rates import RateReport, _rate_report
 from .states import ProtocolAngle
@@ -183,46 +183,59 @@ class SessionResult:
         return _json_fields(self)
 
 
-def _with_sender_rows(w, per_ket, eta_a: float) -> np.ndarray:
-    """Rows (ket 0, ket 1, vacuum) along axis -2: sender row r clicks with eta_a w_r."""
-    joint = w[..., None] * per_ket
-    return np.concatenate([eta_a * joint, (1.0 - eta_a) * joint.sum(axis=-2, keepdims=True)], axis=-2)
+def _squares(angle: ProtocolAngle) -> tuple:
+    """The squared trigonometric values ``_born_stages`` reads: sin^2 theta, cos^2 theta, alpha^2 and beta^2."""
+    return math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2, angle.alpha ** 2, angle.beta ** 2
 
 
-def _born_stages(angle: ProtocolAngle, channel: ChannelModel):
-    """Closed-form Born cells of one setting, before any cumulative sum.
+def _with_sender_rows(w, per_ket, eta_a: float, axis: int) -> np.ndarray:
+    """Rows (ket 0, ket 1, vacuum) on ``axis``, -2 or -3 before a batch axis: sender row r clicks with eta_a w_r."""
+    joint = (w[..., None] if axis == -2 else w[..., None, :]) * per_ket
+    return np.concatenate([eta_a * joint, (1.0 - eta_a) * joint.sum(axis=axis, keepdims=True)], axis=axis)
 
-    Attack-free: the (i, j, row, col) grid and None. Attacked: the (i, row, e)
-    joint of sender row and attacker branch e, and the (e, j, col) receiver
-    cells. Sender row r of basis i (weight w_r) steers the receiver onto a ket
-    whose squared overlaps with the receiver's and attacker's kets give each cell.
+
+def _born_stages(s2, c2, a2, b2, channel: ChannelModel):
+    """Closed-form Born cells of one setting, or of many, before any cumulative sum.
+
+    Takes ``_squares`` of a setting as floats, or of many as 1-D arrays, which
+    add a last (batch) axis to every stage. Attack-free: the (i, j, row, col)
+    grid and None. Attacked: the (i, row, e) joint of sender row and attacker
+    branch e, and the (e, j, col) receiver cells. Sender row r of basis i
+    (weight w_r) steers the receiver onto a ket whose squared overlaps with the
+    receiver's and attacker's kets give each cell.
     """
     d = 1.0 - 4.0 * channel.depol_p / 3.0
-    s2, c2 = math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2
-    a2, b2 = angle.alpha ** 2, angle.beta ** 2
     eta_b = channel.eta_b
+    axis = -3 if isinstance(s2, np.ndarray) else -2  # the sender-row axis
+    zero = 0.0 * s2  # adding it gives a constant cell the batch shape, and leaves a float as it is
+    one, half, vacuum = zero + 1.0, zero + 0.5, zero + (1.0 - eta_b)
 
-    def receiver(k: float) -> list:
+    def receiver(k) -> list:
         """(conclusive, inconclusive, vacuum) at conclusive overlap k, depolarized to d k + (1 - d)/2."""
         con = eta_b * (d * k + (1.0 - d) / 2.0)
-        return [con, eta_b - con, 1.0 - eta_b]
+        return [con, eta_b - con, vacuum]
 
-    off, on = receiver(0.0), receiver(s2)
+    off, on = receiver(zero), receiver(s2)
     if channel.attacker == "none":
         # (i, j, row): the ket steered by (i, row) against the conclusive ket of B_j
         x_rows = [receiver(b2), receiver(a2)]
         per_ket = np.array([[[off, on], [on, off]], [x_rows, x_rows]])
-        w = np.array([[[0.5, 0.5]], [[a2, b2]]])  # (i, j, row), the same for both j
-        return _with_sender_rows(w, per_ket, channel.eta_a), None
+        w = np.array([[[half, half]], [[a2, b2]]])  # (i, j, row), the same for both j
+        return _with_sender_rows(w, per_ket, channel.eta_a, axis), None
     # P(e | ket) for e = identified_1, identified_0, ambiguous_0, ambiguous_1
-    eve = 0.5 * np.array([[[0.0, s2, 1.0, c2], [s2, 0.0, c2, 1.0]],
+    eve = 0.5 * np.array([[[zero, s2, one, c2], [s2, zero, c2, one]],
                           [[b2, b2, a2, a2], [a2, a2, b2, b2]]])  # (i, row, e)
     # e = 0 resends signal 1 and e = 1 signal 0, and B_j clicks on signal s != j;
     # on e = 2, 3 the attacker suppresses the photon and the receiver sees vacuum
-    suppressed = [0.0, 0.0, 1.0]
+    suppressed = [zero, zero, one]
     receiver_cells = np.array([[on, off], [off, on], [suppressed] * 2, [suppressed] * 2])  # (e, j, col)
-    w = np.array([[0.5, 0.5], [a2, b2]])  # (i, row)
-    return _with_sender_rows(w, eve, channel.eta_a), receiver_cells
+    w = np.array([[half, half], [a2, b2]])  # (i, row)
+    return _with_sender_rows(w, eve, channel.eta_a, axis), receiver_cells
+
+
+def _born_grids(stage1: np.ndarray, stage2: Optional[np.ndarray]) -> np.ndarray:
+    """The (..., i, j, row, col) probability grids of stages with any batch axis first; attacked cells sum over e."""
+    return stage1 if stage2 is None else np.einsum("...ire,...ejc->...ijrc", stage1, stage2)
 
 
 def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
@@ -231,9 +244,20 @@ def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
     The twin of ``table_from_state(analytic_pipeline_state(angle, channel),
     ch_settings(angle), channel)``; attacked cells sum over the attacker's branch.
     """
-    stage1, stage2 = _born_stages(angle, channel)
-    grids = stage1 if stage2 is None else np.einsum("ire,ejc->ijrc", stage1, stage2)
-    return CorrelationTable("probability", grids)
+    return CorrelationTable("probability", _born_grids(*_born_stages(*_squares(angle), channel)))
+
+
+def born_ch(angles, channel: ChannelModel) -> np.ndarray:
+    """S_CH of each of a sequence of settings, bit for bit ``ch_value(born_table(angle, channel)).value``.
+
+    One ``_born_stages`` pass over the whole batch; any bad grid raises the
+    ``ValueError`` that ``born_table`` would.
+    """
+    squares = np.array([_squares(angle) for angle in angles]).T
+    # the batch moves to the front, so each table's cells are contiguous and reduce as one table's do
+    stages = (None if stage is None else np.ascontiguousarray(np.moveaxis(stage, -1, 0))
+              for stage in _born_stages(*squares, channel))
+    return _probability_ch(_born_grids(*stages))
 
 
 class _Distributions:
@@ -250,7 +274,7 @@ class _Distributions:
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
         self.test_fraction = test_fraction
-        stage1, stage2 = _born_stages(angle, channel)
+        stage1, stage2 = _born_stages(*_squares(angle), channel)
         if stage2 is None:
             self.stage1 = rows = stage1.reshape(4, 9).cumsum(axis=1)
         else:

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from entb92 import session
+from entb92 import cli, session
 from entb92.cli import build_parser
 from entb92.rates import optimal_theta, pm_reference_rate
 from entb92.session import MAX_CHUNK_SIZE, MAX_CHUNKS
@@ -439,6 +440,83 @@ class TestAttackDemo:
         out = tmp_path / "attack_demo.csv"
         assert run_cli("attack-demo", "--output", str(out))[0] == 0
         assert out.read_bytes() == (FIXTURES / "attack_demo_golden.csv").read_bytes()
+
+    def test_500_point_json_is_pinned(self, tmp_path, run_cli):
+        # 17 digits: the golden file pins every attacked value to the ulp
+        out = tmp_path / "attack_demo.json"
+        assert run_cli("attack-demo", "--points", "500", "--format", "json", "--output", str(out))[0] == 0
+        assert out.read_bytes() == (FIXTURES / "attack_demo_500_golden.json").read_bytes()
+
+    def test_blocks_give_the_values_of_one_block(self, tmp_path, run_cli, monkeypatch):
+        argv = ["attack-demo", "--points", "50", "--format", "json"]
+        assert run_cli(*argv, "--output", str(tmp_path / "one.json"))[0] == 0
+        monkeypatch.setattr(cli, "_ATTACK_BLOCK", 7)  # eight blocks, the last one short
+        assert run_cli(*argv, "--output", str(tmp_path / "many.json"))[0] == 0
+        assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call leaves state for the next."""
+
+    CALLS = [
+        ["curve", "--points", "5", "--format", "json", "--output", "curve.json"],
+        ["curve", "--points", "5", "--output", "curve.csv"],  # --format is back at its default
+        ["rate-curve", "--p-max", "0.01", "--p-step", "0.01", "--output", "rate.csv"],
+        ["simulate", "--theta-deg", "60", "--output", "session.json"],  # no --rounds: exits 2
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, run_cli, package_env, monkeypatch):
+        def files():
+            found = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            for path in tmp_path.iterdir():
+                path.unlink()
+            return found
+
+        monkeypatch.chdir(tmp_path)
+        in_process = [run_cli(*argv)[::2] for argv in self.CALLS]
+        in_process_files = files()
+        fresh = []
+        for argv in self.CALLS:
+            proc = subprocess.run([sys.executable, "-m", "entb92.cli", *argv], cwd=tmp_path,
+                                  capture_output=True, text=True, env=package_env)
+            fresh.append((proc.returncode, proc.stderr))
+        assert [code for code, _ in in_process] == [0, 0, 0, 2]
+        assert "rounds is required" in in_process[-1][1]
+        assert in_process == fresh
+        assert len(in_process_files) == 6 and in_process_files == files()
+        assert in_process_files["curve.csv"].startswith(b"theta_deg,s_ch,")
+
+    def test_import_builds_no_parser_and_main_builds_one(self, tmp_path, package_env):
+        script = textwrap.dedent(f"""
+            import argparse, json
+            built = []
+            init = argparse.ArgumentParser.__init__
+
+            def counting_init(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+
+            argparse.ArgumentParser.__init__ = counting_init
+            from entb92 import cli
+            counts = [len(built)]
+            for _ in range(2):
+                try:
+                    cli.main(["curve", "--points", "1", "--output", {str(tmp_path / "c.csv")!r}])
+                except SystemExit:
+                    counts.append(len(built))
+            print(json.dumps(counts))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        at_import, first_call, second_call = json.loads(proc.stdout)
+        assert at_import == 0 and first_call == second_call > 0
+
+    def test_handler_patched_after_first_call_runs(self, tmp_path, run_cli, monkeypatch):
+        assert run_cli("curve", "--points", "3", "--output", str(tmp_path / "c.csv"))[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_curve", lambda args: seen.append(args.points) or 7)
+        assert run_cli("curve", "--points", "4", "--output", str(tmp_path / "d.csv"))[0] == 7
+        assert seen == [4]
 
 
 ANALYTIC_SUBCOMMANDS = ["attack-demo", "curve", "rate-curve", "thresholds"]

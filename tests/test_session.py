@@ -13,7 +13,7 @@ import pytest
 import entb92
 import oracle
 from entb92 import channels, cli, qcore, session
-from entb92.bell import CorrelationTable, table_from_state
+from entb92.bell import CorrelationTable, _probability_ch, ch_value, table_from_state
 from entb92.channels import (
     ChannelModel,
     analytic_pipeline_state,
@@ -454,6 +454,47 @@ class TestClosedFormTables:
             gen = np.random.Generator(np.random.Philox(key=config.seed, counter=0))
             assert isinstance(sample_round(gen, config), RoundRecord)
         assert cli.main(["attack-demo", "--output", str(tmp_path / "demo.csv")]) == 0
+
+
+# a dense grid over the open interval, with angles within 1e-6 rad of both ends
+EDGE_THETAS = sorted({*np.linspace(1e-6, math.pi / 2 - 1e-6, 2000).tolist(),
+                      1e-9, 1e-7, 5e-7, math.pi / 2 - 5e-7, math.pi / 2 - 1e-7, math.nextafter(math.pi / 2, 0.0)})
+
+
+class TestBatchedBornCh:
+    """``born_ch`` over a grid against ``ch_value(born_table(...))`` one angle at a time."""
+
+    @pytest.mark.parametrize("channel", [
+        ChannelModel(attacker="usd"),
+        ChannelModel(eta_a=0.9, eta_b=0.8, attacker="usd"),
+        ChannelModel(depol_p=0.03, attacker="usd"),
+        ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.03),
+    ], ids=["usd-ideal", "usd-lossy", "usd-depolarized", "clean-lossy-depolarized"])
+    def test_bit_identical_to_one_table_at_a_time(self, channel):
+        angles = [ProtocolAngle(theta) for theta in EDGE_THETAS]
+        want = [ch_value(born_table(angle, channel)).value for angle in angles]
+        assert session.born_ch(angles, channel).tolist() == want
+
+    @pytest.mark.parametrize("changes", [
+        {(0, 0, 2, 2): math.nan},
+        {(1, 0, 0, 1): math.inf},
+        {(1, 1, 2, 0): -1e-6},
+        {(0, 1, 1, 1): 0.5},
+        # mass moved between the sender's outcomes in pair (0, 1) alone: its sum stays 1, its marginal moves
+        {(0, 1, 0, 2): -0.01, (0, 1, 1, 2): 0.01},
+    ], ids=["nan", "inf", "negative", "unnormalized", "signaling"])
+    def test_bad_grid_raises_as_a_table_does(self, changes):
+        stack = np.array([born_table(ProtocolAngle(theta), ChannelModel(eta_b=0.7, attacker="usd")).grids
+                          for theta in (0.3, 0.8, 1.2)])
+        for cell, change in changes.items():
+            stack[(1, *cell)] += change
+        with pytest.raises(ValueError) as single:
+            CorrelationTable("probability", stack[1])
+        with pytest.raises(ValueError) as batched:
+            _probability_ch(stack)
+        assert str(batched.value) == str(single.value)
+        good = stack[[0, 2]]
+        assert _probability_ch(good).tolist() == [ch_value(CorrelationTable("probability", g)).value for g in good]
 
 
 class TestSift:
