@@ -1,21 +1,21 @@
 """Seeded Monte-Carlo engine for two-party key-distribution sessions.
 
-Each round consumes exactly four 64-bit words from a counter-based generator
-keyed by (seed, round index): sender basis choice, receiver basis choice,
-and two outcome draws (the second one only used on attacked rounds, where
-the resent qubit is measured separately). With its low 11 bits cleared, a
-word is the variate ``Generator.random()`` would return, scaled by 2^64.
-Because the words for round r live at a fixed offset in the keyed stream,
-any partition of rounds into chunks -- and any assignment of chunks to
-worker threads -- reproduces the same per-round outcomes, and the integer
-tallies merge associatively. Results are therefore bit-identical across
-worker counts.
+Each round consumes exactly one variate of ``Generator.random()`` from a
+counter-based generator keyed by the seed: round r reads variate r % 4 of
+``Philox(key=seed, counter=r // 4)``, whose counter blocks hold four 64-bit
+words. Because the variate of round r lives at a fixed offset in the keyed
+stream, any partition of rounds into chunks -- and any assignment of chunks
+to worker threads -- reproduces the same per-round outcomes, and the
+integer tallies merge associatively. Results are therefore bit-identical
+across worker counts.
 
-Round outcomes are sampled from the exact Born cells of ``_born_stages``,
-which ``born_table`` also returns, precomputed once per setting as two CDF
-tables and their integer thresholds ``ceil(cdf * 2^64)``. One decode turns
-a round's words into its cell by a guide-table lookup; the chunked tally
-and the scalar ``sample_round`` both run it.
+The variate picks the whole round at once: basis choices, outcomes and, on
+attacked sessions, the attacker's branch. Its cells are the exact Born
+cells of ``_born_stages``, which ``born_table`` also returns, weighted by
+the basis choices and laid out as one CDF row per setting, precomputed
+with thresholds ``ceil(cdf * 2^53) * 2^-53`` on the variates' own grid. One
+decode turns variates into cells by a guide-table lookup; the chunked
+tally and the scalar ``sample_round`` both run it.
 """
 
 from __future__ import annotations
@@ -36,15 +36,20 @@ from .channels import ChannelModel
 from .rates import RateReport, _rate_report
 from .states import ProtocolAngle
 
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only so that every caller can share it."""
+    array.setflags(write=False)
+    return array
+
+
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
-# MAX_CHUNKS only bounds the session length: memory does not grow with the chunk
-# count. A chunk in flight holds 45-48 B per round, up to about 190 MB at MAX_CHUNK_SIZE.
+# MAX_CHUNKS only bounds the session length: memory does not grow with the chunk count. A chunk in flight
+# holds 19 B per round, up to about 80 MB at MAX_CHUNK_SIZE.
 MAX_CHUNKS = 2 ** 16
 MAX_CHUNK_SIZE = 2 ** 22
-# a word's top 12 bits pick its guide-table bucket; _MIXED flags a bucket a threshold splits
-_GUIDE_SHIFT, _BUCKETS, _MIXED = 52, 4096, 0x80
-_HALF = np.uint64(1 << 63)
-_WORD_BITS = ~np.uint64(0x7FF)  # the 53 bits Generator.random() keeps
+# a variate's top 12 bits, 4096 x truncated, pick its guide-table bucket; _MIXED flags a bucket a threshold splits
+_BUCKETS, _MIXED = 4096, 0x80
 # The record fields (alice_basis, alice_outcome, bob_basis, bob_outcome) and key bit of each cell
 # 9 * (2i + j) + 3 * row + col of the (i, j, row, col) grid; row r of basis X holds outcome 1 - r.
 # A key round is a sender's Z click r with a conclusive click in B_j, which decodes 1 - j.
@@ -57,6 +62,17 @@ _KEY_BIT = dict(_CELLS)
 # n_con (a key round) and n_err (a key round whose bits differ)
 _COUNTED = np.array([(clicked, clicked and basis == "Z", bit is not None, bit is not None and bit[0] != bit[1])
                      for (basis, a, _, b), bit in _CELLS for clicked in [a != "vacuum" and b != "vacuum"]], np.int64)
+# The cells of a session's sampling row, by attacked flag: each is a grid cell and the attacker's branch e, None
+# without an attacker. An attacked row keeps the 84 of the 144 (cell, e) that can be non-zero: on branches 2 and 3 the
+# attacker suppresses the photon, so the receiver sees vacuum, and a Z round never takes branch e < 2 on sender row e.
+_ROW_CELLS = (tuple((c, None) for c in range(36)),
+              tuple((9 * (2 * i + j) + 3 * row + col, e) for i in (0, 1) for j in (0, 1) for row in range(3)
+                    for col in range(3) for e in range(4) if (col == 2 if e > 1 else i or row != e)))
+# each grid cell's first row cell, the starts np.add.reduceat folds a row's counts at
+_FOLDS = tuple(_read_only(np.array([[c for c, _ in cells].index(g) for g in range(36)])) for cells in _ROW_CELLS)
+# where each attacked row cell (i, j, row, col, e) reads the flat (i, row, e) and (e, j, col) stages of _born_stages
+_STAGE1_AT, _STAGE2_AT = map(_read_only, np.array(
+    [((c // 18 * 3 + c // 3 % 3) * 4 + e, (2 * e + c // 9 % 2) * 3 + c % 3) for c, e in _ROW_CELLS[1]]).T.copy())
 
 
 def _integer(name: str, value) -> int:
@@ -261,64 +277,52 @@ def born_ch(angles, channel: ChannelModel) -> np.ndarray:
 
 
 class _Distributions:
-    """Sampling tables of one setting: the cumulative sums of ``_born_stages``.
+    """Sampling row of one setting: the CDF over its ``_ROW_CELLS`` and the decode tables of that CDF.
 
-    ``stage1`` holds one CDF per basis pair ``2i + j`` (the 12-cell joint of
-    sender row and attacker branch e on attacked sessions); ``stage2``, None
-    without an attacker, one receiver CDF per ``2e + j``, from row 4 of the
-    ``_word_tables`` ``guide`` and ``bounds``; the sender measures X on a word
-    below ``basis``. All are read-only, so one instance can serve many callers.
+    Row cell (c, e) has probability w_i / 2 times the ``_born_stages`` cell
+    of grid cell c (times the receiver cell of branch e on attacked
+    sessions), with w_X = ``test_fraction`` and w_Z = 1 - w_X. ``fold``
+    holds each grid cell's first row cell, ``guide`` and ``bounds`` come from
+    ``_guide_table``. All are read-only, so one instance can serve many callers.
     """
 
-    __slots__ = ("test_fraction", "stage1", "stage2", "basis", "guide", "bounds")
+    __slots__ = ("cells", "fold", "cdf", "guide", "bounds")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
-        self.test_fraction = test_fraction
         stage1, stage2 = _born_stages(*_squares(angle), channel)
-        if stage2 is None:
-            self.stage1 = rows = stage1.reshape(4, 9).cumsum(axis=1)
+        attacked = stage2 is not None
+        self.cells, self.fold = _ROW_CELLS[attacked], _FOLDS[attacked]
+        w = np.array([1.0 - test_fraction, test_fraction]) * 0.5
+        if attacked:
+            probabilities = (stage1 * w[:, None, None]).take(_STAGE1_AT) * stage2.take(_STAGE2_AT)
         else:
-            self.stage1 = stage1.reshape(2, 12).cumsum(axis=1).repeat(2, axis=0)
-            stage2 = stage2.cumsum(axis=2).reshape(8, 3)
-            stage2.setflags(write=False)
-            rows = np.ones((12, 12))  # pads with entries no word reaches
-            rows[:4], rows[4:, :2] = self.stage1, stage2[:, :2]
-        self.stage1.setflags(write=False)
-        self.stage2 = stage2
-        self.basis = np.uint64(math.ceil(test_fraction * 2.0 ** 64))
-        self.guide, self.bounds = _word_tables(rows)
+            probabilities = (stage1 * w[:, None, None, None]).ravel()
+        self.cdf = _read_only(probabilities.cumsum())
+        self.guide, self.bounds = _guide_table(self.cdf)
 
 
-def _word_tables(cum: np.ndarray):
-    """Guide table and integer thresholds of a table of CDF rows.
+def _guide_table(cdf: np.ndarray):
+    """Guide table and thresholds of a CDF row.
 
-    Threshold ``ceil(c * 2^64)`` is the least word w with c <= w * 2^-64; the
-    last column and entries >= 1 get the all-ones word, which no masked word
-    reaches. A word's cell, the count of its row's thresholds <= it, is then
-    the clipped ``searchsorted(row, u, side="right")``. Guide entry b is that
-    count at the bucket's first word ``b << 52``, or'ed with ``_MIXED`` when a
-    reachable threshold falls later in the bucket. Thresholds stay exact as
-    floats up to the 2^64 that marks an unreachable one, and scaling them by
-    2^-52 to their bucket position q is exact too.
+    Threshold ``ceil(c * 2^53) * 2^-53`` is the least variate on the 2^-53
+    grid of ``Generator.random()`` with c <= it; the last one and those >= 1
+    become 1, which no variate reaches. A variate's cell, the count of the
+    thresholds <= it, is then the clipped ``searchsorted(cdf, x, side="right")``.
+    Guide entry b is that count at the bucket's first variate b / 4096, or'ed
+    with ``_MIXED`` when a threshold falls later in the bucket. Scaling a
+    threshold by 4096 to its bucket position q is exact.
     """
-    scaled = np.ceil(np.minimum(cum, 1.0) * 2.0 ** 64)
-    scaled[:, -1] = 2.0 ** 64
-    q = scaled * 2.0 ** -52
-    over = q == _BUCKETS
-    scaled[over] = 0.0
-    bounds = scaled.astype(np.uint64)
-    bounds[over] = ~np.uint64(0)
+    bounds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53) * 2.0 ** -53
+    bounds[-1] = 1.0
+    q = bounds * _BUCKETS
     # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(q), to that of k
     first = np.ceil(q)
     filled = first.astype(np.intp)
-    filled[:, 1:] -= filled[:, :-1]
-    guide = (np.arange(cum.size, dtype=np.uint8) % cum.shape[1]).repeat(filled.ravel()).reshape(len(cum), _BUCKETS)
-    # a reachable threshold past its bucket's first word splits the bucket below ceil(q)
-    rows, cols = np.nonzero(first != q)
-    guide[rows, first[rows, cols].astype(np.intp) - 1] |= _MIXED
-    guide.setflags(write=False)
-    bounds.setflags(write=False)
-    return guide, bounds
+    filled[1:] -= filled[:-1]
+    guide = np.arange(len(cdf), dtype=np.uint8).repeat(filled)
+    # a threshold past its bucket's first variate splits the bucket below ceil(q)
+    guide[first[first != q].astype(np.intp) - 1] |= _MIXED
+    return _read_only(guide), _read_only(bounds)
 
 
 @functools.lru_cache(maxsize=16)
@@ -331,75 +335,58 @@ def _shared_distributions(angle: ProtocolAngle, channel: ChannelModel,
 _THREAD = threading.local()
 
 
-def _words(seed: int, start: int, n: int) -> np.ndarray:
-    """``Philox(key=seed, counter=start).random_raw(4 * n)``, from this thread's one generator with its state set:
-    a new Philox costs several times more, seeding itself from OS entropy that the key then replaces."""
-    philox = getattr(_THREAD, "philox", None)
-    if philox is None:
-        philox = _THREAD.philox = np.random.Philox(0)
-    philox.state = {"bit_generator": "Philox", "state": {"counter": (start, 0, 0, 0), "key": (seed, 0)},
-                    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return philox.random_raw(4 * n)
+def _words(seed: int, start: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Variates ``start`` to ``start + n`` of the session stream, drawn into ``out`` (at least ``n + 3`` long).
+
+    Round r reads variate r % 4 of ``Generator(Philox(key=seed, counter=r // 4))``: one 64-bit word, as
+    ``random()`` makes it. The result is a view of ``out``. This thread's one generator has its state set for
+    every chunk, since a new Philox costs several times more, seeding itself from OS entropy that the key replaces.
+    """
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (start // 4, 0, 0, 0), "key": (seed, 0)},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    skip = start % 4
+    return gen.random(out=out[:skip + n])[skip:]
 
 
-def _search(word: np.ndarray, row: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """How many thresholds of its CDF row are <= each word: the guide's count, stepped on in split buckets."""
-    key = np.right_shift(word, _GUIDE_SHIFT, out=np.empty(len(word), np.uint16), casting="unsafe")
-    key |= row.astype(np.uint16) << (64 - _GUIDE_SHIFT)
+def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
+    """The row cell of each variate: the guide's count, stepped on in split buckets.
+
+    Per-round arrays stay uint8/uint16: round-length intp temporaries let
+    malloc trim the heap and fault it back in on every chunk.
+    """
+    key = np.multiply(variates, _BUCKETS, out=np.empty(len(variates), np.uint16), casting="unsafe")
     cell = dist.guide.take(key)
     slow = np.flatnonzero(cell >= _MIXED)
     if slow.size:
-        found, words = cell[slow] ^ _MIXED, word[slow]
-        first = row[slow].astype(np.intp) * dist.bounds.shape[1]
-        while (step := words >= dist.bounds.take(first + found)).any():
+        found, x = cell[slow] ^ _MIXED, variates[slow]
+        while (step := x >= dist.bounds.take(found)).any():
             found += step
         cell[slow] = found
     return cell
 
 
-def _decode_rounds(words: np.ndarray, dist: _Distributions):
-    """Cell ``9 * (2i + j) + 3 * row + col`` of each round, and its stage-2 key.
-
-    ``words`` holds four words per round; float variates in [0, 1) are scaled
-    by 2^64, exactly on the 2^-53 grid of ``Generator.random()``. The stage-2
-    key is ``2e + j`` for attacker branch ``e``, or None without an attacker.
-    Per-round arrays stay uint8/uint16: round-length intp temporaries let
-    malloc trim the heap and fault it back in on every chunk.
-    """
-    if words.dtype != np.uint64:
-        words = (words * 2.0 ** 64).astype(np.uint64)
-    j = (words[:, 1] >= _HALF).view(np.uint8)
-    pair = (words[:, 0] < dist.basis).view(np.uint8) * 2 + j
-    cell = _search(words[:, 2], pair, dist)
-    pair *= 9
-    if dist.stage2 is None:
-        cell += pair
-        return cell, None
-    pair += (cell >> 2) * 3  # cell is 4 * row + e
-    key = (cell & 3) * 2 + j
-    cell = _search(words[:, 3], key + 4, dist)
-    cell += pair
-    return cell, key
-
-
 def _tally_chunk(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """Count-mode (2,2,3,3) tally for one block of per-round words or uniform draws."""
-    cell, _ = _decode_rounds(variates, dist)
-    return np.bincount(cell, minlength=36).reshape(2, 2, 3, 3)
+    """Count-mode (2,2,3,3) tally for one block of variates, the row's counts folded onto the grid."""
+    counts = np.bincount(_decode(variates, dist), minlength=len(dist.cells))
+    return np.add.reduceat(counts, dist.fold).reshape(2, 2, 3, 3)
 
 
 def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> RoundRecord:
-    """Draw one round; consumes exactly four variates from ``rng_state``.
+    """Draw one round; consumes exactly one variate from ``rng_state``.
 
-    Passing ``Generator(Philox(key=seed, counter=r))`` reproduces round r of
-    the session with that seed, independent of any other round. The
+    Passing ``Generator(Philox(key=seed, counter=r // 4))`` after drawing
+    ``r % 4`` variates from it reproduces round r of the session with that
+    seed, attacker branch included, independent of any other round. The
     sampling tables are built once per (angle, channel, test fraction) and
     reused by later calls with the same setting.
     """
     dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
-    cell, key = _decode_rounds(rng_state.random((1, 4)), dist)
-    fields, key_bit = _CELLS[cell[0]]
-    return RoundRecord(*fields, key_bit=key_bit, eve_outcome=None if key is None else int(key[0]) // 2 + 1)
+    cell, e = dist.cells[_decode(rng_state.random(1), dist)[0]]
+    fields, key_bit = _CELLS[cell]
+    return RoundRecord(*fields, key_bit=key_bit, eve_outcome=None if e is None else e + 1)
 
 
 def _result_from_table(table: CorrelationTable, config: SessionConfig) -> SessionResult:
@@ -423,7 +410,7 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     Rounds are processed in chunks of ``config.chunk_size``; ``workers`` > 1
     runs at most one thread per chunk and per CPU, each taking the next chunk
     as it frees up into one running tally. Neither parameter can change any
-    count: each round's words come from its own counter block.
+    count: each round's variate sits at its own place in the seed's stream.
     """
     workers = _integer("workers", workers)
     if workers < 1:
@@ -434,11 +421,8 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
 
-    def tally(start: int) -> np.ndarray:
-        n = min(config.chunk_size, config.n_rounds - start)
-        words = _words(config.seed, start, n).reshape(n, 4)
-        words &= _WORD_BITS  # now exactly Generator.random() * 2^64
-        return _tally_chunk(words, dist)
+    def tally(start: int, buffer: np.ndarray) -> np.ndarray:
+        return _tally_chunk(_words(config.seed, start, min(config.chunk_size, config.n_rounds - start), buffer), dist)
 
     chunks, lock = iter(starts), threading.Lock()
 
@@ -447,7 +431,9 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             return next(chunks, None)
 
     def work(_) -> np.ndarray:
-        return sum(map(tally, iter(next_start, None)))
+        # one buffer per thread and session: a chunk allocates no round-length array for its draw
+        buffer = np.empty(min(config.chunk_size, config.n_rounds) + 3)
+        return sum(tally(start, buffer) for start in iter(next_start, None))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

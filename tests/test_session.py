@@ -6,6 +6,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -46,35 +47,44 @@ def cfg(**kw):
 
 
 def replay_rounds(config):
-    """Drive the scalar sampler with the same stream the engine uses."""
+    """Drive the scalar sampler with the same stream the engine uses: round r is variate r % 4 of counter r // 4."""
     records = []
     for idx in range(config.n_rounds):
         gen = np.random.Generator(np.random.Philox(key=config.seed,
-                                                   counter=idx))
+                                                   counter=idx // 4))
+        gen.random(idx % 4)
         records.append(sample_round(gen, config))
     return records
+
+
+def record_cell(rec):
+    """Grid cell (i, j, row, col) of a round record, from README's layout alone.
+
+    Sender basis i (0 = Z, 1 = X), receiver basis j, row the Z outcome,
+    1 - the X outcome or 2 for vacuum, and col the receiver's
+    conclusive/inconclusive/vacuum.
+    """
+    i = ("Z", "X").index(rec.alice_basis)
+    if rec.alice_outcome == "vacuum":
+        row = 2
+    else:
+        row = rec.alice_outcome if i == 0 else 1 - rec.alice_outcome
+    return i, rec.bob_basis, row, ("conclusive", "inconclusive", "vacuum").index(rec.bob_outcome)
 
 
 def tally_records(records):
     """Count grid and (n_con, n_err) of round records, from README's layout and key rule alone.
 
-    Cell (i, j, row, col): sender basis i (0 = Z, 1 = X), receiver basis j,
-    row the Z outcome, 1 - the X outcome or 2 for vacuum, and col the
-    receiver's conclusive/inconclusive/vacuum. A key round is a Z round where
-    the sender clicked and the receiver clicked conclusively; it decodes
-    1 - j and is an error when that differs from the sender's outcome.
-    ``key_bit`` is not read, so it cannot vouch for itself.
+    A key round is a Z round where the sender clicked and the receiver
+    clicked conclusively; it decodes 1 - j and is an error when that differs
+    from the sender's outcome. ``key_bit`` is not read, so it cannot vouch
+    for itself.
     """
     grid = np.zeros((2, 2, 3, 3), dtype=np.int64)
     n_con = n_err = 0
     for rec in records:
-        i = ("Z", "X").index(rec.alice_basis)
-        if rec.alice_outcome == "vacuum":
-            row = 2
-        else:
-            row = rec.alice_outcome if i == 0 else 1 - rec.alice_outcome
-        col = ("conclusive", "inconclusive", "vacuum").index(rec.bob_outcome)
-        grid[i, rec.bob_basis, row, col] += 1
+        i, _, row, col = cell = record_cell(rec)
+        grid[cell] += 1
         if i == 0 and row < 2 and col == 0:
             n_con += 1
             n_err += rec.alice_outcome != 1 - rec.bob_basis
@@ -188,6 +198,26 @@ class TestScalarSampler:
             if rec.eve_outcome >= 3:
                 assert rec.bob_outcome == "vacuum"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 65536])
+    @pytest.mark.parametrize("attacker", ["none", "usd"])
+    def test_replay_reproduces_every_round(self, monkeypatch, attacker, chunk_size, workers):
+        # the rounds a session draws in its chunks, each decoded to its grid cell
+        # and attacker branch, are the rounds sample_round gives one at a time
+        config = cfg(n_rounds=1500, seed=37, chunk_size=chunk_size,
+                     channel=ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02, attacker=attacker))
+        drawn, draw = {}, session._words
+        monkeypatch.setattr(session, "_words",
+                            lambda seed, start, n, out: drawn.setdefault(start, draw(seed, start, n, out).copy()))
+        res = run_session(config, workers=workers)
+        variates = np.concatenate([drawn[start] for start in sorted(drawn)])
+        dist = session._shared_distributions(config.angle, config.channel, config.test_fraction)
+        cells = row_cells(attacker == "usd")
+        want = [(cell, None if e is None else e + 1) for cell, e in (cells[k] for k in session._decode(variates, dist))]
+        records = replay_rounds(config)
+        assert [(np.ravel_multi_index(record_cell(rec), (2, 2, 3, 3)), rec.eve_outcome) for rec in records] == want
+        np.testing.assert_array_equal(tally_records(records)[0], res.table.grids)
+
     def test_no_attack_leaves_no_trace(self):
         for rec in replay_rounds(cfg(n_rounds=50)):
             assert rec.eve_outcome is None
@@ -213,34 +243,38 @@ class TestScalarSampler:
     def test_shared_tables_are_read_only(self):
         for channel in (ChannelModel(), ChannelModel(attacker="usd")):
             dist = session._shared_distributions(ANG, channel, 0.25)
-            for table in (dist.stage1, dist.stage2):
-                if table is not None:
-                    with pytest.raises(ValueError):
-                        table[0, 0] = 0.5
+            for table in (dist.cdf, dist.guide, dist.bounds, dist.fold):
+                with pytest.raises(ValueError):
+                    table[0] = 1
 
 
-def searchsorted_cells(uniforms, dist):
-    """Reference decode: (i, j, row, col) per round by per-row searchsorted."""
-    cells = []
-    for u in uniforms:
-        i, j = int(u[0] < dist.test_fraction), int(u[1] >= 0.5)
-        first = dist.stage1[2 * i + j]
-        k = min(int(np.searchsorted(first, u[2], side="right")), len(first) - 1)
-        if dist.stage2 is None:
-            row, col = divmod(k, 3)
-        else:
-            row, e = divmod(k, 4)
-            second = dist.stage2[2 * e + j]
-            col = min(int(np.searchsorted(second, u[3], side="right")), 2)
-        cells.append((i, j, row, col))
-    return cells
+def row_cells(attacked):
+    """The (grid cell, attacker branch) of each row cell, from the attack model alone.
+
+    Without an attacker the row is the (i, j, row, col) grid. With one, the
+    attacker's branch e runs fastest, and a cell is left out when it is zero
+    at every setting: the receiver sees vacuum on the suppressing branches 2
+    and 3, and the sender's Z outcome row never comes with branch e = row < 2.
+    """
+    if not attacked:
+        return [(c, None) for c in range(36)]
+    return [(c, e) for c in range(36) for e in range(4)
+            if not (e >= 2 and c % 3 != 2) and not (c < 18 and e < 2 and c // 3 % 3 == e)]
 
 
-def boundary_variates(cdf):
-    """Every CDF entry in [0, 1) and its float neighbours, plus 0 and 1 - ulp."""
-    edges = np.unique(np.concatenate([cdf.ravel(), [0.0, np.nextafter(1.0, 0.0)]]))
-    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    return np.unique(near[(near >= 0.0) & (near < 1.0)])
+def grid_counts(cells, attacked):
+    """Count grid of decoded row cells, folded onto (i, j, row, col) through ``row_cells``."""
+    counts, row = np.zeros(36, dtype=np.int64), row_cells(attacked)
+    for k in cells:
+        counts[row[k][0]] += 1
+    return counts.reshape(2, 2, 3, 3)
+
+
+def grid_variates(cdf):
+    """Every CDF entry rounded down to the 2^-53 grid of ``random()``, one step either side, and 0 and 1 - 2^-53."""
+    units = np.floor(cdf * 2.0 ** 53)
+    near = np.concatenate([units - 1, units, units + 1, [0.0, 2.0 ** 53 - 1]])
+    return np.unique(near[(near >= 0) & (near < 2.0 ** 53)]) * 2.0 ** -53
 
 
 class TestDecodeKernel:
@@ -253,30 +287,21 @@ class TestDecodeKernel:
         ChannelModel(eta_a=0.9, eta_b=0.75, depol_p=0.05, attacker="usd"),
     ], ids=["ideal", "lossy-depolarized", "attacked", "attacked-lossy"])
     def test_matches_searchsorted_at_cdf_boundaries(self, channel):
-        dist = _Distributions(ANG, channel, 0.25)
-        tf = dist.test_fraction
-        # basis variates on both sides of their thresholds
-        u0s = [tf, np.nextafter(tf, 0.0)]
-        u1s = [0.5, np.nextafter(0.5, 0.0)]
-        u2s = boundary_variates(dist.stage1)
-        u3s = [0.5] if dist.stage2 is None else boundary_variates(dist.stage2)
-        grid = np.meshgrid(u0s, u1s, u2s, u3s, indexing="ij")
-        uniforms = np.stack([g.ravel() for g in grid], axis=1)
-        want = searchsorted_cells(uniforms, dist)
-        assert {(i, j) for i, j, _, _ in want} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        for u, (i, j, row, col) in zip(uniforms, want):
-            expected = np.zeros((2, 2, 3, 3), dtype=np.int64)
-            expected[i, j, row, col] = 1
-            np.testing.assert_array_equal(_tally_chunk(u[None, :], dist), expected, err_msg=repr(u))
-        total = np.zeros((2, 2, 3, 3), dtype=np.int64)
-        np.add.at(total, tuple(np.array(want).T), 1)
-        np.testing.assert_array_equal(_tally_chunk(uniforms, dist), total)
+        dist, attacked = _Distributions(ANG, channel, 0.25), channel.attacker == "usd"
+        variates = grid_variates(dist.cdf)
+        want = np.minimum(np.searchsorted(dist.cdf, variates, side="right"), len(dist.cdf) - 1)
+        assert {row_cells(attacked)[k][0] // 9 for k in want} == {0, 1, 2, 3}  # every basis pair
+        for x, k in zip(variates, want):
+            np.testing.assert_array_equal(_tally_chunk(np.array([x]), dist), grid_counts([k], attacked),
+                                          err_msg=repr(x))
+        np.testing.assert_array_equal(_tally_chunk(variates, dist), grid_counts(want, attacked))
 
 
 ALL_ONES = 2 ** 64 - 1
-# zero-probability cells (eta = 1, eta = 0, p = 0), CDF rows whose sum
-# rounds to 1 - 2^-53 ("short-rows") and, in the "crowded" settings, guide
-# buckets that two or more distinct thresholds split
+# zero-probability cells (eta = 1, eta = 0, p = 0), CDF rows whose sum rounds
+# away from 1 (above it in "short-rows", below it in "crowded-attacked") and,
+# in the "crowded" settings, guide buckets that two or more distinct
+# thresholds split
 WORD_CHANNELS = {
     "ideal": ChannelModel(),
     "short-rows": ChannelModel(eta_a=0.9, eta_b=0.95, depol_p=0.03),
@@ -287,27 +312,23 @@ WORD_CHANNELS = {
     "crowded": ChannelModel(eta_a=0.99999, eta_b=0.99998, depol_p=1e-5),
     "crowded-attacked": ChannelModel(eta_a=0.9999, attacker="usd"),
 }
+GRID = 2 ** 53  # random() returns k / GRID for an integer 0 <= k < GRID
 
 
-def exact_thresholds(row):
-    """Least word w with c <= w * 2^-64, for every entry c but the last, in exact rationals."""
-    return [math.ceil(Fraction(float(c)) * 2 ** 64) for c in row[:-1]]
+def exact_thresholds(cdf):
+    """Least k with c <= k / GRID, for every entry c but the last, in exact rationals."""
+    return [math.ceil(Fraction(float(c)) * GRID) for c in cdf[:-1]]
 
 
-def threshold_words(dist):
-    """Words t - 1, t and t + 1 at every threshold of both stages, and 0 and 2^64 - 2.
-
-    The all-ones word is the kernel's unreachable threshold; no word with
-    random()'s low 11 bits cleared is all ones.
-    """
-    rows = [row for table in (dist.stage1, dist.stage2) if table is not None for row in table]
-    ts = {t for row in rows for t in exact_thresholds(row)}
-    words = {w + d for w in ts for d in (-1, 0, 1)} | {0, ALL_ONES - 1}
-    return sorted(w for w in words if 0 <= w < ALL_ONES)
+def threshold_units(dist):
+    """Every k = t - 1, t and t + 1 at a threshold t, and 0 and GRID - 1, that random() can return as k / GRID."""
+    ts = set(exact_thresholds(dist.cdf))
+    units = {t + d for t in ts for d in (-1, 0, 1)} | {0, GRID - 1}
+    return sorted(k for k in units if 0 <= k < GRID)
 
 
 class TestWordKernel:
-    """The integer decode against exact rationals and against the float decode."""
+    """The decode of a round's one variate against exact rationals."""
 
     @pytest.mark.parametrize("key", [0, 7, 2 ** 63 + 12345, ALL_ONES])
     @pytest.mark.parametrize("counter", [0, 7001, 3 * 2 ** 22 + 5])
@@ -322,62 +343,51 @@ class TestWordKernel:
     def test_search_counts_exact_thresholds(self, channel):
         dist = _Distributions(ANG, channel, 0.25)
         if channel == WORD_CHANNELS["short-rows"]:
-            assert dist.stage1[:, -1].min() == np.nextafter(1.0, 0.0)
-        words = threshold_words(dist)
-        # the receiver rows follow the four sender rows
-        rows = [*dist.stage1, *([] if dist.stage2 is None else dist.stage2)]
-        for r, row in enumerate(rows):
-            ts = exact_thresholds(row)
-            want = [sum(t <= w for t in ts) for w in words]
-            got = session._search(np.array(words, dtype=np.uint64), np.full(len(words), r, np.uint8), dist)
-            assert got.tolist() == want, (r, row)
+            assert dist.cdf[-1] > 1.0
+        if channel == WORD_CHANNELS["crowded-attacked"]:
+            assert dist.cdf[-1] < 1.0
+        units = threshold_units(dist)
+        ts = exact_thresholds(dist.cdf)
+        want = [sum(t <= k for t in ts) for k in units]
+        assert session._decode(np.array(units, dtype=np.float64) / GRID, dist).tolist() == want
 
     @pytest.mark.parametrize("name", ["crowded", "crowded-attacked"])
     def test_crowded_settings_split_a_bucket_twice(self, name):
-        # some bucket holds two distinct thresholds past its first word, so
-        # the fallback steps more than once for the words above both
-        stage1 = _Distributions(ANG, WORD_CHANNELS[name], 0.25).stage1
+        # some bucket holds two distinct thresholds past its first variate, so
+        # the fallback steps more than once for the variates above both
         splits = {}
-        for r, row in enumerate(stage1):
-            for t in set(exact_thresholds(row)):
-                if t < ALL_ONES and t % 2 ** 52:
-                    splits.setdefault((r, t >> 52), set()).add(t)
+        for t in set(exact_thresholds(_Distributions(ANG, WORD_CHANNELS[name], 0.25).cdf)):
+            if t < GRID and t % 2 ** 41:
+                splits.setdefault(t >> 41, set()).add(t)
         assert max(map(len, splits.values())) >= 2
 
     @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
     def test_every_guide_bucket_matches_its_definition(self, channel):
-        # entry b counts the thresholds <= the bucket's first word b << 52 and is
-        # flagged exactly when that count changes by the bucket's last word
+        # entry b counts the thresholds <= the bucket's first variate b / 4096 and
+        # is flagged exactly when that count changes by the bucket's last variate
         dist = _Distributions(ANG, channel, 0.25)
-        rows = [*dist.stage1, *([] if dist.stage2 is None else dist.stage2)]
-        assert dist.guide.shape == (len(rows), 4096)
-        for r, row in enumerate(rows):
-            ts = sorted(exact_thresholds(row))
-            at = [bisect.bisect_right(ts, b << 52) for b in range(4097)]
-            last = [bisect.bisect_right(ts, ((b + 1) << 52) - 1) for b in range(4096)]
-            guide = dist.guide[r].tolist()
-            assert [g & 0x7F for g in guide] == at[:-1], r
-            assert [g >= 0x80 for g in guide] == [n != c for n, c in zip(last, at)], r
+        assert dist.guide.shape == (4096,)
+        ts = sorted(exact_thresholds(dist.cdf))
+        assert (dist.bounds * GRID).tolist() == [min(t, GRID) for t in exact_thresholds(dist.cdf)] + [GRID]
+        at = [bisect.bisect_right(ts, b << 41) for b in range(4097)]
+        last = [bisect.bisect_right(ts, ((b + 1) << 41) - 1) for b in range(4096)]
+        guide = dist.guide.tolist()
+        assert [g & 0x7F for g in guide] == at[:-1]
+        assert [g >= 0x80 for g in guide] == [n != c for n, c in zip(last, at)]
 
     @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
     def test_masked_raw_words_match_float_decode(self, channel, monkeypatch):
-        # run_session on crafted raw words, including words that differ only in
-        # the 11 bits random() drops, against the float decode of random()
-        dist = _Distributions(ANG, channel, 0.25)
-        words = threshold_words(dist)
-        words += [w ^ 0x7FF for w in words] + [w | 0x400 for w in words]
-        basis = [2 ** 62 + d for d in (-2048, -1, 0, 1, 0x7FF)]
-        half = [2 ** 63 + d for d in (-1, 0, 0x7FF)]
-        w3s = [0] if dist.stage2 is None else words
-        grid = np.meshgrid(basis, half, np.array(words, dtype=np.uint64),
-                           np.array(w3s, dtype=np.uint64)[:: max(1, len(w3s) // 40)], indexing="ij")
-        raw = np.stack([np.asarray(g, dtype=np.uint64).ravel() for g in grid], axis=1)
-
-        monkeypatch.setattr(session, "_words", lambda seed, start, n: raw[start:start + n].ravel().copy())
-        res = run_session(SessionConfig(angle=ANG, n_rounds=len(raw), channel=channel, chunk_size=997))
-        want = np.zeros((2, 2, 3, 3), dtype=np.int64)
-        np.add.at(want, tuple(np.array(searchsorted_cells((raw >> 11) * 2.0 ** -53, dist)).T), 1)
-        np.testing.assert_array_equal(res.table.grids, want)
+        # run_session, in chunks, on the variates random() makes of crafted raw
+        # words, words that differ only in the 11 bits it drops included,
+        # against the exact decode of each word's top 53 bits
+        dist, attacked = _Distributions(ANG, channel, 0.25), channel.attacker == "usd"
+        words = [k << 11 | low for k in threshold_units(dist) for low in (0, 0x400, 0x7FF)]
+        variates = (np.array(words, dtype=np.uint64) >> np.uint64(11)) / GRID
+        monkeypatch.setattr(session, "_words", lambda seed, start, n, out: variates[start:start + n])
+        res = run_session(SessionConfig(angle=ANG, n_rounds=len(words), channel=channel, chunk_size=97))
+        ts = exact_thresholds(dist.cdf)
+        np.testing.assert_array_equal(res.table.grids, grid_counts([sum(t <= w >> 11 for t in ts) for w in words],
+                                                                   attacked))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read on Linux")
     def test_session_does_not_refault_its_heap(self):
@@ -392,12 +402,16 @@ class TestWordKernel:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
-def pipeline_cdfs(angle, channel):
-    """(stage1, stage2) built through the density-matrix pipeline, not the closed form."""
+def pipeline_row(angle, channel):
+    """P(i, j, row, col, e) at test fraction 1/4 through the density-matrix pipeline, not the closed form.
+
+    Without an attacker the last axis has length one.
+    """
+    w = np.array([0.75, 0.25]) / 2
     settings = ch_settings(angle)
     if channel.attacker == "none":
         grids = table_from_state(analytic_pipeline_state(angle, channel), settings, channel).grids
-        return np.cumsum(grids.reshape(4, 9), axis=1), None
+        return np.einsum("i,ijrc->ijrc", w, grids)[..., None]
     rho = entangled_state(angle).to_density().matrix
     alice = [lossy_povm(settings.alice[i], channel.eta_a) for i in (0, 1)]
     bob = [lossy_povm(settings.bob[j], channel.eta_b) for j in (0, 1)]
@@ -411,8 +425,7 @@ def pipeline_cdfs(angle, channel):
         else:
             resent = depolarize(chi.to_density(), channel.depol_p)
             stage2[e] = [born_probabilities(resent, bob[j]) for j in (0, 1)]
-    return (np.repeat(np.cumsum(stage1.reshape(2, 12), axis=1), 2, axis=0),
-            np.cumsum(stage2, axis=2).reshape(8, 3))
+    return np.einsum("i,ire,ejc->ijrce", w, stage1, stage2)
 
 
 class TestClosedFormTables:
@@ -427,15 +440,17 @@ class TestClosedFormTables:
                 for eta_b in (0.0, 0.37, 1.0):
                     channel = ChannelModel(eta_a=eta_a, eta_b=eta_b, depol_p=p, attacker=attacker)
                     dist = _Distributions(angle, channel, 0.25)
-                    want1, want2 = pipeline_cdfs(angle, channel)
                     state = analytic_pipeline_state(angle, channel)
                     want = table_from_state(state, ch_settings(angle), channel).grids
                     np.testing.assert_allclose(born_table(angle, channel).grids, want, rtol=0.0, atol=1e-13)
-                    np.testing.assert_allclose(dist.stage1, want1, rtol=0.0, atol=1e-13)
-                    if want2 is None:
-                        assert dist.stage2 is None
-                    else:
-                        np.testing.assert_allclose(dist.stage2, want2, rtol=0.0, atol=1e-13)
+                    # the row holds every cell the pipeline gives, in row_cells order; the cells it leaves out are zero
+                    cells = row_cells(attacker == "usd")
+                    assert list(dist.cells) == cells
+                    fine = pipeline_row(angle, channel).reshape(36, -1)
+                    kept = np.zeros(fine.shape, dtype=bool)
+                    kept[tuple(np.array([(c, e or 0) for c, e in cells]).T)] = True
+                    np.testing.assert_allclose(dist.cdf, np.cumsum(fine[kept]), rtol=0.0, atol=1e-13)
+                    np.testing.assert_allclose(fine[~kept], 0.0, rtol=0.0, atol=1e-13)
 
     def test_sessions_build_no_density_matrices(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -597,22 +612,23 @@ class TestRunSession:
         assert len(tasks) == len(sizes) and all(n <= size for n, size in zip(tasks, sizes))
         np.testing.assert_array_equal(res.table.grids, run_session(config).table.grids)
 
-    # (4, 9) counts per basis pair 2i + j; guards the per-round counter
-    # contract: these must not change when the sampler is rewritten. The
+    # (4, 9) counts per basis pair 2i + j; guards the per-round stream
+    # contract: these must not change when the sampler is rewritten. Pinned
+    # from the first version of the one-variate-per-round decode. The
     # estimate, its error and the QBER pin the estimator on those counts.
     @pytest.mark.parametrize("channel, seed, counts, estimate", [
         (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02), 31, [
-            [319, 26443, 6817, 19976, 6923, 6697, 2245, 3737, 1483],
-            [20032, 6990, 6714, 337, 26884, 6641, 2282, 3835, 1460],
-            [3438, 1184, 1198, 3484, 10168, 3290, 726, 1239, 473],
-            [3294, 1185, 1105, 3539, 10056, 3390, 736, 1202, 478],
-        ], ("0x1.8b8e518e86600p-10", "0x1.11099813cfc2fp-9", 0.01613220539051741)),
+            [343, 26579, 6800, 20195, 6937, 6628, 2194, 3886, 1485],
+            [20118, 6913, 6619, 355, 26746, 6790, 2263, 3902, 1492],
+            [3434, 1137, 1111, 3415, 9933, 3348, 760, 1259, 478],
+            [3321, 1080, 1123, 3371, 10169, 3363, 735, 1228, 490],
+        ], ("0x1.021219b55c028p-7", "0x1.109044fc7b3e2p-9", 0.01701982394967204)),
         (ChannelModel(attacker="usd"), 17, [
-            [0, 14033, 23371, 10528, 3449, 23258, 0, 0, 0],
-            [10726, 3620, 23519, 0, 14109, 23249, 0, 0, 0],
-            [1818, 2988, 1568, 1729, 2892, 14057, 0, 0, 0],
-            [1756, 2989, 1524, 1710, 2993, 14114, 0, 0, 0],
-        ], ("-0x1.bc5f30e1a9debp-4", "0x1.110a7280fd45ap-9", 0.0)),
+            [0, 14348, 23338, 10388, 3486, 23432, 0, 0, 0],
+            [10614, 3551, 23456, 0, 14134, 23425, 0, 0, 0],
+            [1779, 2851, 1538, 1793, 3017, 13898, 0, 0, 0],
+            [1755, 2989, 1594, 1774, 2855, 13985, 0, 0, 0],
+        ], ("-0x1.bf44536395aacp-4", "0x1.10fedcb1cf2c3p-9", 0.0)),
     ], ids=["lossy-depolarized", "attacked"])
     def test_counts_pinned_across_versions(self, channel, seed, counts, estimate):
         res = run_session(cfg(n_rounds=200000, seed=seed, channel=channel))
@@ -621,6 +637,27 @@ class TestRunSession:
         assert res.s_ch_estimate.value == float.fromhex(value)
         assert res.s_ch_estimate.standard_error == float.fromhex(stderr)
         assert res.qber == qber
+
+    @pytest.mark.parametrize("channel, seed", [
+        (ChannelModel(), 101),
+        (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02), 102),
+        (ChannelModel(attacker="usd"), 103),
+        (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02, attacker="usd"), 104),
+    ], ids=["ideal", "lossy", "attacked", "lossy-attacked"])
+    def test_long_session_counts_fit_born_table(self, channel, seed):
+        # chi^2 of 4 M rounds against born_table weighted by the basis choices,
+        # within 5 sigma by Wilson-Hilferty; a cell of probability zero is never hit
+        config = cfg(n_rounds=2 ** 22, seed=seed, channel=channel)
+        counts = run_session(config).table.grids.ravel()
+        w = np.array([1.0 - config.test_fraction, config.test_fraction]) / 2
+        p = (w[:, None, None, None] * born_table(ANG, channel).grids).ravel()
+        assert counts[p == 0].sum() == 0
+        expected = config.n_rounds * p[p > 0]
+        chi2 = float(((counts[p > 0] - expected) ** 2 / expected).sum())
+        dof = int((p > 0).sum()) - 1
+        # (chi^2 / dof)^(1/3) is about normal, with mean 1 - 2 / (9 dof) and variance 2 / (9 dof)
+        fit = NormalDist(1.0 - 2.0 / (9 * dof), math.sqrt(2.0 / (9 * dof)))
+        assert abs(fit.zscore((chi2 / dof) ** (1.0 / 3.0))) < 5.0
 
     def test_chunk_size_does_not_change_results(self):
         base = run_session(cfg(n_rounds=50000, seed=3, chunk_size=65536))
@@ -679,9 +716,9 @@ class TestRunSession:
         assert "table" in d and d["table"]["mode"] == "count"
 
 
-# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned before the per-session set-up was rewritten:
-# any change to a byte of a session's output, at any worker count or chunk size, changes it
-SESSION_MATRIX_SHA256 = "2c49c0b06cad17bd2b99e034e4669318817d531d8d7df94c9a89a7ae9202d996"
+# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned from the first version of the one-variate-per-round
+# decode: any change to a byte of a session's output, at any worker count or chunk size, changes it
+SESSION_MATRIX_SHA256 = "ab90ebdfeddfb5ad5cbffb0f2a5487b5aa7d59300c696b38230bab5c7383a45d"
 SESSION_MATRIX = list(itertools.product(("none", "usd"), (1, 2), (1, 7, 65536), (1, 64, 20000)))
 
 
@@ -730,8 +767,9 @@ class TestFixedPath:
     @pytest.mark.parametrize("start", [0, 65536 + 3])
     def test_reused_generator_draws_each_chunk_from_its_own_counter(self, seed, start):
         run_session(cfg(n_rounds=3000, seed=99, chunk_size=1000))  # leaves this thread's generator elsewhere
-        want = np.random.Philox(key=seed, counter=start).random_raw(4 * 1000)
-        np.testing.assert_array_equal(session._words(seed, start, 1000), want)
+        # round r is variate r % 4 of counter block r // 4, so a chunk may start inside a block
+        want = np.random.Generator(np.random.Philox(key=seed, counter=start // 4)).random(start % 4 + 1000)
+        np.testing.assert_array_equal(session._words(seed, start, 1000, np.empty(1003)), want[start % 4:])
 
     def test_threads_with_their_own_generators_match_one_thread(self, monkeypatch):
         # more threads than cores, switching often, each drawing many short chunks from its reused generator
