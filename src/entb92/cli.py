@@ -52,11 +52,8 @@ class RunManifest:
     seed: Optional[int]
     outputs: List[dict] = field(default_factory=list)
 
-    def add_output(self, path: str) -> None:
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-        self.outputs.append({"path": str(path), "sha256": digest.hexdigest()})
+    def add_output(self, path: str, sha256: str) -> None:
+        self.outputs.append({"path": str(path), "sha256": sha256})
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -67,18 +64,23 @@ class RunManifest:
         return path
 
 
-def _write_json(path: str, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path: str, text: str) -> str:
+    """Write ``text`` as UTF-8 and return the SHA-256 of the bytes written, so no output is read back."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: str, header: List[str], rows: List[List[float]]) -> None:
+def _write_json(path: str, obj) -> str:
+    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: str, header: List[str], rows: List[List[float]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -112,22 +114,22 @@ def _extra_outputs(args) -> tuple:
     return () if table_csv is None else (table_csv,)
 
 
-def _finish(args, params=None, seed=None) -> None:
-    """Write the manifest of the outputs; ``params`` defaults to every parsed flag but ``--output``."""
+def _finish(args, digests: List[str], params=None, seed=None) -> None:
+    """Write the manifest of the outputs with their ``digests``; ``params`` defaults to every flag but ``--output``."""
     if params is None:
         params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "output")}
     manifest = RunManifest(args.subcommand, params, seed)
-    for path in (args.output, *_extra_outputs(args)):
-        manifest.add_output(path)
+    for path, digest in zip((args.output, *_extra_outputs(args)), digests, strict=True):
+        manifest.add_output(path, digest)
     manifest.write(args.output)
 
 
 def _emit_table(args, header: List[str], rows: List[List[float]]) -> int:
     if args.format == "csv":
-        _write_csv(args.output, header, rows)
+        digest = _write_csv(args.output, header, rows)
     else:
-        _write_json(args.output, {"rows": [dict(zip(header, map(float, row))) for row in rows]})
-    _finish(args)
+        digest = _write_json(args.output, {"rows": [dict(zip(header, map(float, row))) for row in rows]})
+    _finish(args, [digest])
     return EXIT_OK
 
 
@@ -192,8 +194,7 @@ def cmd_thresholds(args) -> int:
             for strategy in ("fixed_settings", "ch_max")
         },
     }
-    _write_json(args.output, payload)
-    _finish(args)
+    _finish(args, [_write_json(args.output, payload)])
     return EXIT_OK
 
 
@@ -269,12 +270,12 @@ def cmd_simulate(args) -> int:
         chunk_size=params["chunk_size"],
     )
     result = run_session(config, workers=args.workers)
-    _write_json(args.output, result.to_json_dict())
+    digests = [_write_json(args.output, result.to_json_dict())]
     if args.table_csv is not None:
         rows = [[*cell, int(n)] for cell, n in np.ndenumerate(result.table.grids)]
-        _write_csv(args.table_csv,
-                   ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows)
-    _finish(args, {**params, "workers": args.workers}, config.seed)
+        digests.append(_write_csv(args.table_csv,
+                                  ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows))
+    _finish(args, digests, {**params, "workers": args.workers}, config.seed)
     return EXIT_INSUFFICIENT if result.insufficient_statistics else EXIT_OK
 
 

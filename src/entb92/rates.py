@@ -243,28 +243,6 @@ def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateRe
     return _rate_report(*map(float, _closed_form(_as_angle(theta).theta, _check_depol(p), strategy)))
 
 
-def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-8) -> Tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] to within tol in x."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 _THETA_GRID = np.linspace(1e-4, math.pi / 2 - 1e-4, 200)
 _THETA_GRID.setflags(write=False)
 

@@ -1,13 +1,14 @@
 """Seeded Monte-Carlo engine for two-party key-distribution sessions.
 
-Each round consumes exactly one variate of ``Generator.random()`` from a
-counter-based generator keyed by the seed: round r reads variate r % 4 of
-``Philox(key=seed, counter=r // 4)``, whose counter blocks hold four 64-bit
-words. Because the variate of round r lives at a fixed offset in the keyed
-stream, any partition of rounds into chunks -- and any assignment of chunks
-to worker threads -- reproduces the same per-round outcomes, and the
-integer tallies merge associatively. Results are therefore bit-identical
-across worker counts.
+Each round consumes exactly one variate of ``Generator.random()`` from one
+PCG64DXSM stream per seed: round r reads variate r of
+``Generator(PCG64DXSM(seed))``. A chunk reaches its first round r by
+jumping the generator's linear congruential state r steps forward with
+``advance(r)``, which costs O(log r) and draws nothing. Because the variate
+of round r lives at a fixed offset in the seeded stream, any partition of
+rounds into chunks -- and any assignment of chunks to worker threads --
+reproduces the same per-round outcomes, and the integer tallies merge
+associatively. Results are therefore bit-identical across worker counts.
 
 The variate picks the whole round at once: basis choices, outcomes and, on
 attacked sessions, the attacker's branch. Its cells are the exact Born
@@ -332,23 +333,23 @@ def _shared_distributions(angle: ProtocolAngle, channel: ChannelModel,
     return _Distributions(angle, channel, test_fraction)
 
 
-_THREAD = threading.local()
+# generators no worker holds: a worker takes one for a session and gives it back, so the pool's threads, new for
+# every session, construct none. list.pop and list.append are atomic.
+_IDLE = []
 
 
-def _words(seed: int, start: int, n: int, out: np.ndarray) -> np.ndarray:
-    """Variates ``start`` to ``start + n`` of the session stream, drawn into ``out`` (at least ``n + 3`` long).
+def _words(stream, start: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Variates ``start`` to ``start + n`` of the session stream, drawn into ``out`` (at least ``n`` long).
 
-    Round r reads variate r % 4 of ``Generator(Philox(key=seed, counter=r // 4))``: one 64-bit word, as
-    ``random()`` makes it. The result is a view of ``out``. This thread's one generator has its state set for
-    every chunk, since a new Philox costs several times more, seeding itself from OS entropy that the key replaces.
+    ``stream`` is a worker's generator and the session's ``PCG64DXSM(seed).state``. Round r reads variate r
+    of ``Generator(PCG64DXSM(seed))``: one 64-bit word, as ``random()`` makes it. The generator takes the
+    state and jumps ``start`` steps with ``advance``, so no round before the chunk is drawn. The result is a
+    view of ``out``.
     """
-    gen = getattr(_THREAD, "generator", None)
-    if gen is None:
-        gen = _THREAD.generator = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (start // 4, 0, 0, 0), "key": (seed, 0)},
-                               "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    skip = start % 4
-    return gen.random(out=out[:skip + n])[skip:]
+    gen, state = stream
+    gen.bit_generator.state = state
+    gen.bit_generator.advance(start)
+    return gen.random(out=out[:n])
 
 
 def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
@@ -377,11 +378,10 @@ def _tally_chunk(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
 def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> RoundRecord:
     """Draw one round; consumes exactly one variate from ``rng_state``.
 
-    Passing ``Generator(Philox(key=seed, counter=r // 4))`` after drawing
-    ``r % 4`` variates from it reproduces round r of the session with that
-    seed, attacker branch included, independent of any other round. The
-    sampling tables are built once per (angle, channel, test fraction) and
-    reused by later calls with the same setting.
+    Passing ``Generator(PCG64DXSM(seed).advance(r))`` reproduces round r of
+    the session with that seed, attacker branch included, independent of
+    any other round. The sampling tables are built once per (angle, channel,
+    test fraction) and reused by later calls with the same setting.
     """
     dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
     cell, e = dist.cells[_decode(rng_state.random(1), dist)[0]]
@@ -421,9 +421,7 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
 
-    def tally(start: int, buffer: np.ndarray) -> np.ndarray:
-        return _tally_chunk(_words(config.seed, start, min(config.chunk_size, config.n_rounds - start), buffer), dist)
-
+    state = np.random.PCG64DXSM(config.seed).state  # read-only: every worker's generator takes it per chunk
     chunks, lock = iter(starts), threading.Lock()
 
     def next_start() -> Optional[int]:
@@ -431,9 +429,17 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             return next(chunks, None)
 
     def work(_) -> np.ndarray:
-        # one buffer per thread and session: a chunk allocates no round-length array for its draw
-        buffer = np.empty(min(config.chunk_size, config.n_rounds) + 3)
-        return sum(tally(start, buffer) for start in iter(next_start, None))
+        try:
+            gen = _IDLE.pop()
+        except IndexError:  # seeded with 0 only to skip OS entropy: _words sets its state for every chunk
+            gen = np.random.Generator(np.random.PCG64DXSM(0))
+        try:
+            # one buffer per worker and session: a chunk allocates no round-length array for its draw
+            stream, buffer = (gen, state), np.empty(min(config.chunk_size, config.n_rounds))
+            return sum(_tally_chunk(_words(stream, start, min(config.chunk_size, config.n_rounds - start), buffer),
+                                    dist) for start in iter(next_start, None))
+        finally:
+            _IDLE.append(gen)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

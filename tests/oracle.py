@@ -190,6 +190,27 @@ def depol_ch_closed(s, p):
     return (1.0 - 4.0 * p / 3.0) * s - 2.0 * p / 3.0
 
 
+def golden_section_max(fn, lo, hi, tol=1e-8):
+    """Maximize a unimodal function on [lo, hi] to within tol in x."""
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
 # ---------------------------------------------------------------------------
 # unambiguous-discrimination attack
 

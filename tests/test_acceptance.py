@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import golden_section_max
 from entb92.bell import (
     CorrelationTable,
     analytic_ch,
@@ -32,7 +33,6 @@ from entb92.rates import (
     efficiency_threshold,
     gain_from_ch,
     gain_from_chsh,
-    golden_section_max,
     max_depolarization,
     optimal_theta,
     pm_reference_rate,

@@ -590,6 +590,30 @@ def test_manifest_records_the_parameters_read(tmp_path, run_cli, schema_validato
     assert [e["path"] for e in manifest["outputs"]] == [str(out)]
 
 
+@pytest.mark.parametrize("subcommand, argv", [
+    ("curve", ["--points", "3"]),
+    ("curve", ["--points", "3", "--format", "json"]),
+    ("rate-curve", ["--p-max", "0.001", "--p-step", "0.001"]),
+    ("rate-curve", ["--p-max", "0.001", "--p-step", "0.001", "--format", "json"]),
+    ("thresholds", []),
+    ("attack-demo", ["--points", "3"]),
+    ("attack-demo", ["--points", "3", "--format", "json"]),
+    ("simulate", ["--theta-deg", "60", "--rounds", "100"]),
+    ("simulate", ["--theta-deg", "60", "--rounds", "100", "--table-csv"]),
+])
+def test_manifest_digests_are_those_of_the_files(tmp_path, run_cli, subcommand, argv):
+    # the writers hash the bytes they write; the manifest must list what is on disk
+    if argv[-1:] == ["--table-csv"]:
+        argv = [*argv, str(tmp_path / "table.csv")]
+    out = tmp_path / "out"
+    code, _, _ = run_cli(subcommand, *argv, "--output", str(out))
+    assert code == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    written = sorted(str(path) for path in tmp_path.iterdir() if path.name != "out.manifest.json")
+    assert sorted(e["path"] for e in manifest["outputs"]) == written
+    assert all(e["sha256"] == sha256(Path(e["path"])) for e in manifest["outputs"])
+
+
 def test_readme_flag_table_matches_parser():
     lines = README.read_text().splitlines()
     start = lines.index("| subcommand | flags |") + 2

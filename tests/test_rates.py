@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import golden_section_max
 from entb92 import qcore, rates
 from entb92.bell import CH_QUANTUM_MAX, ch_value, ch_with_loss, table_from_state
 from entb92.channels import ChannelModel, analytic_pipeline_state, depolarize
@@ -19,7 +20,6 @@ from entb92.rates import (
     efficiency_threshold,
     gain_from_ch,
     gain_from_chsh,
-    golden_section_max,
     key_rate,
     max_depolarization,
     normalized_rate,

@@ -47,12 +47,10 @@ def cfg(**kw):
 
 
 def replay_rounds(config):
-    """Drive the scalar sampler with the same stream the engine uses: round r is variate r % 4 of counter r // 4."""
+    """Drive the scalar sampler with the same stream the engine uses: round r is the seed's stream advanced r steps."""
     records = []
     for idx in range(config.n_rounds):
-        gen = np.random.Generator(np.random.Philox(key=config.seed,
-                                                   counter=idx // 4))
-        gen.random(idx % 4)
+        gen = np.random.Generator(np.random.PCG64DXSM(config.seed).advance(idx))
         records.append(sample_round(gen, config))
     return records
 
@@ -330,13 +328,13 @@ def threshold_units(dist):
 class TestWordKernel:
     """The decode of a round's one variate against exact rationals."""
 
-    @pytest.mark.parametrize("key", [0, 7, 2 ** 63 + 12345, ALL_ONES])
-    @pytest.mark.parametrize("counter", [0, 7001, 3 * 2 ** 22 + 5])
-    def test_random_is_raw_word_without_low_11_bits(self, key, counter):
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 12345, ALL_ONES])
+    @pytest.mark.parametrize("offset", [0, 7001, 3 * 2 ** 22 + 5, 2 ** 38 - 5])
+    def test_random_is_raw_word_without_low_11_bits(self, seed, offset):
         # the contract run_session relies on: Generator.random() * 2^64 is the
-        # raw Philox word with its low 11 bits cleared
-        floats = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(4096)
-        raw = np.random.Philox(key=key, counter=counter).random_raw(4096)
+        # raw PCG64DXSM word with its low 11 bits cleared, wherever advance() puts the stream
+        floats = np.random.Generator(np.random.PCG64DXSM(seed).advance(offset)).random(4096)
+        raw = np.random.PCG64DXSM(seed).advance(offset).random_raw(4096)
         np.testing.assert_array_equal((floats * 2.0 ** 64).astype(np.uint64), raw & ~np.uint64(0x7FF))
 
     @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
@@ -466,7 +464,7 @@ class TestClosedFormTables:
             config = cfg(n_rounds=3000, chunk_size=1000, channel=channel)
             for workers in (1, 2):
                 assert run_session(config, workers=workers).table.grids.sum() == 3000
-            gen = np.random.Generator(np.random.Philox(key=config.seed, counter=0))
+            gen = np.random.Generator(np.random.PCG64DXSM(config.seed))
             assert isinstance(sample_round(gen, config), RoundRecord)
         assert cli.main(["attack-demo", "--output", str(tmp_path / "demo.csv")]) == 0
 
@@ -614,21 +612,21 @@ class TestRunSession:
 
     # (4, 9) counts per basis pair 2i + j; guards the per-round stream
     # contract: these must not change when the sampler is rewritten. Pinned
-    # from the first version of the one-variate-per-round decode. The
+    # from the first version of the PCG64DXSM stream. The
     # estimate, its error and the QBER pin the estimator on those counts.
     @pytest.mark.parametrize("channel, seed, counts, estimate", [
         (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02), 31, [
-            [343, 26579, 6800, 20195, 6937, 6628, 2194, 3886, 1485],
-            [20118, 6913, 6619, 355, 26746, 6790, 2263, 3902, 1492],
-            [3434, 1137, 1111, 3415, 9933, 3348, 760, 1259, 478],
-            [3321, 1080, 1123, 3371, 10169, 3363, 735, 1228, 490],
-        ], ("0x1.021219b55c028p-7", "0x1.109044fc7b3e2p-9", 0.01701982394967204)),
+            [350, 26371, 6711, 20072, 7087, 6814, 2256, 3871, 1501],
+            [20306, 6901, 6737, 358, 26381, 6847, 2268, 3754, 1521],
+            [3332, 1118, 1066, 3512, 9989, 3358, 729, 1281, 471],
+            [3372, 1132, 1198, 3560, 9891, 3361, 752, 1250, 522],
+        ], ("0x1.fdbdf4552f560p-9", "0x1.101ce3b31a300p-9", 0.01723214720342696)),
         (ChannelModel(attacker="usd"), 17, [
-            [0, 14348, 23338, 10388, 3486, 23432, 0, 0, 0],
-            [10614, 3551, 23456, 0, 14134, 23425, 0, 0, 0],
-            [1779, 2851, 1538, 1793, 3017, 13898, 0, 0, 0],
-            [1755, 2989, 1594, 1774, 2855, 13985, 0, 0, 0],
-        ], ("-0x1.bf44536395aacp-4", "0x1.10fedcb1cf2c3p-9", 0.0)),
+            [0, 14177, 23294, 10468, 3521, 23375, 0, 0, 0],
+            [10650, 3530, 23407, 0, 14066, 23159, 0, 0, 0],
+            [1735, 2909, 1607, 1768, 3076, 14109, 0, 0, 0],
+            [1793, 2863, 1586, 1721, 3106, 14080, 0, 0, 0],
+        ], ("-0x1.b78e453d31db8p-4", "0x1.0de8269d5c064p-9", 0.0)),
     ], ids=["lossy-depolarized", "attacked"])
     def test_counts_pinned_across_versions(self, channel, seed, counts, estimate):
         res = run_session(cfg(n_rounds=200000, seed=seed, channel=channel))
@@ -716,9 +714,9 @@ class TestRunSession:
         assert "table" in d and d["table"]["mode"] == "count"
 
 
-# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned from the first version of the one-variate-per-round
-# decode: any change to a byte of a session's output, at any worker count or chunk size, changes it
-SESSION_MATRIX_SHA256 = "ab90ebdfeddfb5ad5cbffb0f2a5487b5aa7d59300c696b38230bab5c7383a45d"
+# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned from the first version of the PCG64DXSM stream:
+# any change to a byte of a session's output, at any worker count or chunk size, changes it
+SESSION_MATRIX_SHA256 = "8bf220ec70992939dde144419506b66841a7f9f0e92eb21fda2ebd5fe19e2233"
 SESSION_MATRIX = list(itertools.product(("none", "usd"), (1, 2), (1, 7, 65536), (1, 64, 20000)))
 
 
@@ -766,10 +764,41 @@ class TestFixedPath:
     @pytest.mark.parametrize("seed", [12345, 2 ** 64 - 1])
     @pytest.mark.parametrize("start", [0, 65536 + 3])
     def test_reused_generator_draws_each_chunk_from_its_own_counter(self, seed, start):
-        run_session(cfg(n_rounds=3000, seed=99, chunk_size=1000))  # leaves this thread's generator elsewhere
-        # round r is variate r % 4 of counter block r // 4, so a chunk may start inside a block
-        want = np.random.Generator(np.random.Philox(key=seed, counter=start // 4)).random(start % 4 + 1000)
-        np.testing.assert_array_equal(session._words(seed, start, 1000, np.empty(1003)), want[start % 4:])
+        run_session(cfg(n_rounds=3000, seed=99, chunk_size=1000))  # leaves the generator it used elsewhere
+        # round r is variate r of the seed's stream, whatever the generator drew before
+        want = np.random.Generator(np.random.PCG64DXSM(seed)).random(start + 1000)
+        stream = (session._IDLE[-1], np.random.PCG64DXSM(seed).state)
+        np.testing.assert_array_equal(session._words(stream, start, 1000, np.empty(1000)), want[start:])
+
+    def test_words_are_slices_of_one_long_draw(self):
+        seed = 2 ** 63 + 5
+        whole = np.random.Generator(np.random.PCG64DXSM(seed)).random(2 ** 17)
+        state = np.random.PCG64DXSM(seed).state
+        spans = [(0, 1), (0, 2 ** 17), (2 ** 17 - 1, 1), *np.random.default_rng(3).integers(0, 2 ** 16, (30, 2)).tolist()]
+        for k, (start, n) in enumerate(spans):
+            run_session(cfg(n_rounds=50, seed=k))  # another session on the generator right before
+            drawn = session._words((session._IDLE[-1], state), start, n, np.empty(n + 5))
+            np.testing.assert_array_equal(drawn, whole[start:start + n])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_generator_construction_per_session(self, monkeypatch, workers):
+        # the seed's state is derived once per session; workers reuse idle generators, and chunks construct none
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        idle = [np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(2)]
+        monkeypatch.setattr(session, "_IDLE", list(idle))
+        built = []
+
+        class PCG64DXSM(np.random.PCG64DXSM):  # its name is part of the state it gives and takes
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(np.random, "PCG64DXSM", PCG64DXSM)
+        for seed in range(3):
+            run_session(cfg(n_rounds=700, chunk_size=7, seed=seed), workers=workers)  # 100 chunks each
+        assert built == [0, 1, 2]
+        # every generator came back, once
+        assert sorted(map(id, session._IDLE)) == sorted(map(id, idle))
 
     def test_threads_with_their_own_generators_match_one_thread(self, monkeypatch):
         # more threads than cores, switching often, each drawing many short chunks from its reused generator
