@@ -20,7 +20,6 @@ vacuum mass; it is exact whenever the table is non-signaling.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .channels import ChannelModel, JointState, _probability, lossy_povm
 from .qcore import DensityMatrix, Operator, Povm, born_probabilities
-from .states import SettingPairSpec
+from .states import SettingPairSpec, _is_real
 
 PAIR_KEYS = ("00", "01", "10", "11")
 
@@ -83,7 +82,7 @@ class CorrelationTable:
             raise ValueError(f'mode must be "probability" or "count", got {mode!r}')
         cells = grids if isinstance(grids, np.ndarray) and grids.dtype != object else np.array(grids, dtype=object)
         # bools and numeric strings would convert silently; a Python int beyond int64 arrives as an object
-        bad = [x for x in cells.flat if isinstance(x, bool) or not isinstance(x, numbers.Real)] \
+        bad = [x for x in cells.flat if not _is_real(x)] \
             if cells.dtype == object else [] if cells.dtype.kind in "iuf" else [cells.dtype]
         if bad:
             raise ValueError(f"grid entries must be real numbers, got {bad[0]!r}")
@@ -257,10 +256,9 @@ def chsh_from_ch(s: BellValue) -> BellValue:
 
 
 def _check_theta_range(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or not 0.0 <= theta <= math.pi / 2:
+    if not _is_real(theta) or not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
-    return theta
+    return float(theta)
 
 
 def analytic_ch(theta: float) -> float:

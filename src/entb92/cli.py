@@ -36,7 +36,7 @@ from .bell import analytic_ch, analytic_ch_max
 from .channels import ChannelModel
 from .rates import efficiency_threshold, max_depolarization, optimal_theta, pm_reference_rate
 from .session import SessionConfig, born_ch, run_session
-from .states import ProtocolAngle
+from .states import ProtocolAngle, _is_real
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,7 +209,6 @@ _SIMULATE_PARAMS = {
     "depol": (float, 0.0),
     "attack": (("none", "usd"), "none"),
     "abort_threshold": (float, 0.0),
-    "chunk_size": (int, 65536),
     "seed": (int, 0),
 }
 
@@ -221,7 +220,7 @@ def _check_config_value(key: str, value) -> None:
         if not isinstance(value, str):
             raise ValueError(f"config key {key!r} must be a string, got {json.dumps(value)}")
         return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise ValueError(f"config key {key!r} must be a number, got {json.dumps(value)}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
@@ -267,7 +266,6 @@ def cmd_simulate(args) -> int:
                              depol_p=params["depol"], attacker=params["attack"]),
         seed=params["seed"],
         abort_threshold=params["abort_threshold"],
-        chunk_size=params["chunk_size"],
     )
     result = run_session(config, workers=args.workers)
     digests = [_write_json(args.output, result.to_json_dict())]

@@ -153,7 +153,7 @@ def depolarized_ch(s_ch: float, p: float) -> float:
 
 
 def _as_angle(theta) -> ProtocolAngle:
-    return theta if isinstance(theta, ProtocolAngle) else ProtocolAngle(float(theta))
+    return theta if isinstance(theta, ProtocolAngle) else ProtocolAngle(theta)
 
 
 def _check_strategy(strategy: str) -> None:

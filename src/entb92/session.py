@@ -35,7 +35,7 @@ import numpy as np
 from .bell import BellValue, CorrelationTable, _probability_ch, ch_value
 from .channels import ChannelModel
 from .rates import RateReport, _rate_report
-from .states import ProtocolAngle
+from .states import ProtocolAngle, _is_real
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -45,10 +45,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 _BOB_OUTCOMES = ("conclusive", "inconclusive", "vacuum")
-# MAX_CHUNKS only bounds the session length: memory does not grow with the chunk count. A chunk in flight
-# holds 19 B per round, up to about 80 MB at MAX_CHUNK_SIZE.
-MAX_CHUNKS = 2 ** 16
-MAX_CHUNK_SIZE = 2 ** 22
+# the most rounds a session holds, so that every count stays an exact float (below 2^53)
+MAX_ROUNDS = 2 ** 38
+# rounds per chunk. Memory does not grow with the chunk count; a chunk in flight holds 19 B per round, about 1.2 MB
+_CHUNK = 2 ** 16
 # a variate's top 12 bits, 4096 x truncated, pick its guide-table bucket; _MIXED flags a bucket a threshold splits
 _BUCKETS, _MIXED = 4096, 0x80
 # The record fields (alice_basis, alice_outcome, bob_basis, bob_outcome) and key bit of each cell
@@ -77,15 +77,15 @@ _STAGE1_AT, _STAGE2_AT = map(_read_only, np.array(
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; bools and non-integral values are rejected."""
-    if isinstance(value, (bool, np.bool_)) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+    """``value`` as an int; bools, strings and non-integral values are rejected."""
+    if not _is_real(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _int_in(value, allowed) -> bool:
     """Whether ``value`` is an integer (not a bool or a float) equal to one of ``allowed``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in allowed
+    return isinstance(value, numbers.Integral) and _is_real(value) and value in allowed
 
 
 def _json_fields(record) -> dict:
@@ -100,8 +100,8 @@ class SessionConfig:
 
     ``test_fraction`` is the probability that the sender measures X (the
     rounds feeding the a1 statistics); it must be strictly between 0 and 1
-    so every setting pair accumulates counts. ``chunk_size`` only shapes the
-    parallel decomposition and cannot affect results.
+    so every setting pair accumulates counts. A session holds 1 to
+    ``MAX_ROUNDS`` rounds.
     """
 
     angle: ProtocolAngle
@@ -110,26 +110,22 @@ class SessionConfig:
     channel: ChannelModel = field(default_factory=ChannelModel)
     seed: int = 0
     abort_threshold: float = 0.0
-    chunk_size: int = 65536
 
     def __post_init__(self):
-        for name in ("n_rounds", "seed", "chunk_size"):
+        for name in ("n_rounds", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("test_fraction", "abort_threshold"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be at least 1, got {self.n_rounds!r}")
+        if not 1 <= self.n_rounds <= MAX_ROUNDS:
+            raise ValueError(f"n_rounds must lie in [1, {MAX_ROUNDS}], got {self.n_rounds!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly inside (0, 1), got {self.test_fraction!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not math.isfinite(self.abort_threshold):
             raise ValueError("abort_threshold must be finite")
-        if not 1 <= self.chunk_size <= MAX_CHUNK_SIZE:
-            raise ValueError(f"chunk_size must lie in [1, {MAX_CHUNK_SIZE}], got {self.chunk_size!r}")
-        if -(-self.n_rounds // self.chunk_size) > MAX_CHUNKS:
-            raise ValueError(f"a session holds at most {MAX_CHUNKS} chunks: n_rounds may be at most "
-                             f"{MAX_CHUNKS * self.chunk_size} at chunk_size {self.chunk_size}")
 
     def to_json_dict(self) -> dict:
         fields = _json_fields(self)
@@ -407,16 +403,16 @@ def _result_from_table(table: CorrelationTable, config: SessionConfig) -> Sessio
 def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     """Run every round and aggregate. Deterministic in (config.seed) alone.
 
-    Rounds are processed in chunks of ``config.chunk_size``; ``workers`` > 1
-    runs at most one thread per chunk and per CPU, each taking the next chunk
-    as it frees up into one running tally. Neither parameter can change any
-    count: each round's variate sits at its own place in the seed's stream.
+    Rounds are processed in chunks of ``_CHUNK``; ``workers`` > 1 runs at
+    most one thread per chunk and per CPU, each taking the next chunk as it
+    frees up into one running tally. Neither can change any count: each
+    round's variate sits at its own place in the seed's stream.
     """
     workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers!r}")
     dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
-    starts = range(0, config.n_rounds, config.chunk_size)
+    starts = range(0, config.n_rounds, _CHUNK)
     threads = min(workers, len(starts))
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
@@ -435,8 +431,8 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             gen = np.random.Generator(np.random.PCG64DXSM(0))
         try:
             # one buffer per worker and session: a chunk allocates no round-length array for its draw
-            stream, buffer = (gen, state), np.empty(min(config.chunk_size, config.n_rounds))
-            return sum(_tally_chunk(_words(stream, start, min(config.chunk_size, config.n_rounds - start), buffer),
+            stream, buffer = (gen, state), np.empty(min(_CHUNK, config.n_rounds))
+            return sum(_tally_chunk(_words(stream, start, min(_CHUNK, config.n_rounds - start), buffer),
                                     dist) for start in iter(next_start, None))
         finally:
             _IDLE.append(gen)
@@ -446,5 +442,5 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             total = sum(pool.map(work, range(threads)))
     else:
         total = work(0)
-    # a session holds at most MAX_CHUNKS * MAX_CHUNK_SIZE = 2^38 rounds, so every count is exact below 2**53
+    # a session holds at most MAX_ROUNDS = 2^38 rounds, so every count is exact below 2**53
     return _result_from_table(CorrelationTable._from_tally(total), config)

@@ -13,6 +13,7 @@ returned objects are the immutable qcore types.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ import numpy as np
 from .qcore import DensityMatrix, Povm, StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: floats, ints and numpy numbers are; bools, strings and objects are not."""
+    return isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -34,10 +40,9 @@ class ProtocolAngle:
     theta: float
 
     def __post_init__(self):
-        th = float(self.theta)
-        if not math.isfinite(th) or not 0.0 < th < math.pi / 2:
+        if not _is_real(self.theta) or not 0.0 < self.theta < math.pi / 2:
             raise ValueError(f"theta must lie strictly inside (0, pi/2), got {self.theta!r}")
-        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "theta", float(self.theta))
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "ProtocolAngle":
@@ -203,10 +208,7 @@ def ch_settings(angle: ProtocolAngle, bob_theta: float | None = None) -> Setting
     are built; passing ``arctan(sin(theta))`` yields the settings that attain
     the maximal violation for this source state.
     """
-    bt = angle.theta if bob_theta is None else float(bob_theta)
-    if not 0.0 < bt < math.pi / 2:
-        raise ValueError(f"receiver setting angle must lie in (0, pi/2), got {bob_theta!r}")
-    bob_angle = ProtocolAngle(bt)
+    bob_angle = angle if bob_theta is None else ProtocolAngle(bob_theta)
     a0_target = _projector(basis_state_z(0))
     a1_target = _projector(basis_state_x(1))
     alice = tuple(
@@ -218,4 +220,4 @@ def ch_settings(angle: ProtocolAngle, bob_theta: float | None = None) -> Setting
              labels=("target", "orthogonal"))
         for k in (0, 1)
     )
-    return SettingPairSpec(alice=alice, bob=bob, bob_theta=bt)
+    return SettingPairSpec(alice=alice, bob=bob, bob_theta=bob_angle.theta)

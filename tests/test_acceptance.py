@@ -185,7 +185,7 @@ def test_criterion_7_monte_carlo_consistency(tmp_path):
         out = tmp_path / f"{tag}.json"
         code = cli_main(["simulate", "--theta-deg", "60",
                          "--rounds", "1000000", "--seed", "7",
-                         "--workers", workers, "--chunk-size", "65536",
+                         "--workers", workers,
                          "--output", str(out)])
         assert code == 0
         blobs.append(out.read_bytes())

@@ -18,6 +18,7 @@ from entb92.bell import (
     table_from_state,
 )
 from entb92.channels import ChannelModel, analytic_pipeline_state
+from entb92.rates import normalized_rate
 from entb92.states import ProtocolAngle, ch_settings, entangled_state
 
 RNG = np.random.default_rng(550)
@@ -265,6 +266,13 @@ class TestClosedForms:
             analytic_ch(-0.1)
         with pytest.raises(ValueError):
             analytic_ch(math.pi / 2 + 0.1)
+        # an angle is a real number: bools and numeric strings are not converted
+        for bad in (lambda: analytic_ch("1.0"), lambda: analytic_ch(True), lambda: analytic_ch_max(np.True_),
+                    lambda: ch_with_loss("1.0", 0.9, 0.9), lambda: normalized_rate("1.0", 0.01),
+                    lambda: normalized_rate(True, 0.01), lambda: ch_settings(ProtocolAngle(1.0), bob_theta=True),
+                    lambda: ch_settings(ProtocolAngle(1.0), bob_theta="0.5")):
+            with pytest.raises(ValueError):
+                bad()
 
     def test_optimized_settings_curve(self):
         val, bob_theta = analytic_ch_max(math.pi / 2)

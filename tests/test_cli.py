@@ -20,7 +20,7 @@ import oracle
 from entb92 import cli, session
 from entb92.cli import build_parser
 from entb92.rates import optimal_theta, pm_reference_rate
-from entb92.session import MAX_CHUNK_SIZE, MAX_CHUNKS
+from entb92.session import MAX_ROUNDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -229,7 +229,6 @@ class TestSimulate:
             code, _, _ = run_cli("simulate", "--theta-deg", "60",
                                  "--rounds", "200000", "--seed", "99",
                                  "--workers", workers,
-                                 "--chunk-size", "8192",
                                  "--output", str(out))
             assert code == 0
             outs.append(out.read_bytes())
@@ -308,7 +307,7 @@ class TestSimulate:
         ({"abort_threshold": "0.1"}, "abort_threshold"),
         ({"seed": 1.7}, "seed"),
         ({"rounds": 100.5}, "rounds"),
-        ({"chunk_size": 64.25}, "chunk_size"),
+        ({"chunk_size": 65536}, "unknown config keys"),
         ({"attack": None}, "attack"),
         ([60, 100], "JSON object"),
         ({"eta_a": 10 ** 400}, "eta_a"),
@@ -325,9 +324,9 @@ class TestSimulate:
         assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--rounds", "1000000000000000"], f"at most {MAX_CHUNKS} chunks"),
-        (["--rounds", "1000000000000", "--chunk-size", "1000000000000"], f"[1, {MAX_CHUNK_SIZE}]"),
-    ], ids=["many-chunks", "huge-chunk"])
+        (["--rounds", "1000000000000000"], f"n_rounds must lie in [1, {MAX_ROUNDS}]"),
+        (["--rounds", str(MAX_ROUNDS + 1)], f"n_rounds must lie in [1, {MAX_ROUNDS}]"),
+    ], ids=["many-chunks", "one-over"])
     def test_oversized_round_count_rejected_before_sampling(self, tmp_path, run_cli, monkeypatch,
                                                             argv, message):
         def no_draw(*args, **kwargs):
@@ -554,6 +553,7 @@ def test_unwritable_manifest_rejected_before_computing(tmp_path, run_cli, subcom
       for name in ANALYTIC_SUBCOMMANDS for flag in (["--workers", "2"], ["--seed", "1"])),
     pytest.param("thresholds", ["--format", "json"], id="thresholds--format"),
     pytest.param("simulate", ["--format", "json"], id="simulate--format"),
+    pytest.param("simulate", ["--chunk-size", "7"], id="simulate--chunk-size"),
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, run_cli, subcommand, flag):
     out = tmp_path / "out"
@@ -574,7 +574,7 @@ def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, run_cli, subcom
      {"points": 3, "theta_min_deg": 1.0, "theta_max_deg": 89.0, "format": "csv"}, None),
     ("simulate", ["--theta-deg", "60", "--rounds", "100", "--seed", "3"],
      {"theta_deg": 60.0, "rounds": 100, "test_fraction": 0.25, "eta_a": 1.0, "eta_b": 1.0,
-      "depol": 0.0, "attack": "none", "abort_threshold": 0.0, "chunk_size": 65536, "seed": 3,
+      "depol": 0.0, "attack": "none", "abort_threshold": 0.0, "seed": 3,
       "workers": 1}, 3),
 ], ids=["curve", "rate-curve", "thresholds", "attack-demo", "simulate"])
 def test_manifest_records_the_parameters_read(tmp_path, run_cli, schema_validator,

@@ -25,8 +25,7 @@ from entb92.channels import (
 )
 from entb92.qcore import born_probabilities
 from entb92.session import (
-    MAX_CHUNK_SIZE,
-    MAX_CHUNKS,
+    MAX_ROUNDS,
     RoundRecord,
     SessionConfig,
     _Distributions,
@@ -107,17 +106,19 @@ class TestSessionConfig:
 
     @pytest.mark.parametrize("kw", [
         {"n_rounds": 0}, {"test_fraction": 0.0}, {"test_fraction": 1.0},
-        {"seed": -1}, {"chunk_size": 0}, {"chunk_size": MAX_CHUNK_SIZE + 1},
-        {"n_rounds": 1000.7}, {"n_rounds": True}, {"seed": True}, {"chunk_size": True},
+        {"seed": -1}, {"n_rounds": 1000.7}, {"n_rounds": True}, {"seed": True},
+        {"n_rounds": "5"}, {"seed": "7"}, {"test_fraction": "0.3"}, {"abort_threshold": True},
+        {"n_rounds": np.bool_(True)}, {"n_rounds": MAX_ROUNDS + 1},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             cfg(**kw)
 
-    def test_chunk_count_bounded(self):
-        assert cfg(n_rounds=MAX_CHUNKS * 7, chunk_size=7).n_rounds == MAX_CHUNKS * 7
-        with pytest.raises(ValueError, match=f"at most {MAX_CHUNKS} chunks"):
-            cfg(n_rounds=MAX_CHUNKS * 7 + 1, chunk_size=7)
+    def test_round_count_bounded(self):
+        # the bound is checked when the config is built, so no session of MAX_ROUNDS + 1 rounds draws a round
+        assert cfg(n_rounds=MAX_ROUNDS).n_rounds == MAX_ROUNDS
+        with pytest.raises(ValueError, match=rf"n_rounds must lie in \[1, {MAX_ROUNDS}\]"):
+            cfg(n_rounds=MAX_ROUNDS + 1)
 
     def test_json_dict(self):
         d = cfg(seed=np.uint64(3), n_rounds=10000.0, abort_threshold=0).to_json_dict()
@@ -202,8 +203,9 @@ class TestScalarSampler:
     def test_replay_reproduces_every_round(self, monkeypatch, attacker, chunk_size, workers):
         # the rounds a session draws in its chunks, each decoded to its grid cell
         # and attacker branch, are the rounds sample_round gives one at a time
-        config = cfg(n_rounds=1500, seed=37, chunk_size=chunk_size,
+        config = cfg(n_rounds=1500, seed=37,
                      channel=ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02, attacker=attacker))
+        monkeypatch.setattr(session, "_CHUNK", chunk_size)
         drawn, draw = {}, session._words
         monkeypatch.setattr(session, "_words",
                             lambda seed, start, n, out: drawn.setdefault(start, draw(seed, start, n, out).copy()))
@@ -382,7 +384,8 @@ class TestWordKernel:
         words = [k << 11 | low for k in threshold_units(dist) for low in (0, 0x400, 0x7FF)]
         variates = (np.array(words, dtype=np.uint64) >> np.uint64(11)) / GRID
         monkeypatch.setattr(session, "_words", lambda seed, start, n, out: variates[start:start + n])
-        res = run_session(SessionConfig(angle=ANG, n_rounds=len(words), channel=channel, chunk_size=97))
+        monkeypatch.setattr(session, "_CHUNK", 97)
+        res = run_session(SessionConfig(angle=ANG, n_rounds=len(words), channel=channel))
         ts = exact_thresholds(dist.cdf)
         np.testing.assert_array_equal(res.table.grids, grid_counts([sum(t <= w >> 11 for t in ts) for w in words],
                                                                    attacked))
@@ -459,9 +462,10 @@ class TestClosedFormTables:
         with pytest.raises(AssertionError):  # the guard is live
             qcore.DensityMatrix(np.eye(2) / 2)
         session._shared_distributions.cache_clear()
+        monkeypatch.setattr(session, "_CHUNK", 1000)
         for channel in (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02),
                         ChannelModel(depol_p=0.01, attacker="usd")):
-            config = cfg(n_rounds=3000, chunk_size=1000, channel=channel)
+            config = cfg(n_rounds=3000, channel=channel)
             for workers in (1, 2):
                 assert run_session(config, workers=workers).table.grids.sum() == 3000
             gen = np.random.Generator(np.random.PCG64DXSM(config.seed))
@@ -563,20 +567,22 @@ class TestRunSession:
             assert res.table.grids.sum() == res.config.n_rounds
             assert res.table.totals.sum() == res.config.n_rounds
 
-    def test_worker_count_does_not_change_results(self):
-        config = cfg(n_rounds=300000, seed=13, chunk_size=4096)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(session, "_CHUNK", 4096)
+        config = cfg(n_rounds=300000, seed=13)
         a = run_session(config, workers=1)
         b = run_session(config, workers=4)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == \
             json.dumps(b.to_json_dict(), sort_keys=True)
 
-    @pytest.mark.parametrize("workers", [2.5, True, 0.0, -1])
+    @pytest.mark.parametrize("workers", [2.5, True, 0.0, -1, "2"])
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_session(cfg(n_rounds=100), workers=workers)
 
-    def test_numpy_integer_workers(self):
-        config = cfg(n_rounds=20000, seed=3, chunk_size=4096)
+    def test_numpy_integer_workers(self, monkeypatch):
+        monkeypatch.setattr(session, "_CHUNK", 4096)
+        config = cfg(n_rounds=20000, seed=3)
         a, b = run_session(config, workers=np.int64(2)), run_session(config, workers=2)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
 
@@ -603,7 +609,8 @@ class TestRunSession:
 
         monkeypatch.setattr(session, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        config = cfg(n_rounds=3000, chunk_size=1000)
+        monkeypatch.setattr(session, "_CHUNK", 1000)
+        config = cfg(n_rounds=3000)
         res = run_session(config, workers=workers)
         assert sizes == ([] if pool is None else [pool])
         # one task per thread, not one per chunk
@@ -657,10 +664,14 @@ class TestRunSession:
         fit = NormalDist(1.0 - 2.0 / (9 * dof), math.sqrt(2.0 / (9 * dof)))
         assert abs(fit.zscore((chi2 / dof) ** (1.0 / 3.0))) < 5.0
 
-    def test_chunk_size_does_not_change_results(self):
-        base = run_session(cfg(n_rounds=50000, seed=3, chunk_size=65536))
-        alt = run_session(cfg(n_rounds=50000, seed=3, chunk_size=977))
-        np.testing.assert_array_equal(base.table.grids, alt.table.grids)
+    @pytest.mark.parametrize("attacker", ["none", "usd"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("chunk", [1, 7, 977])
+    def test_chunk_partition_does_not_change_results(self, monkeypatch, chunk, workers, attacker):
+        config = cfg(n_rounds=20000, seed=3, channel=ChannelModel(eta_b=0.9, depol_p=0.01, attacker=attacker))
+        default = json.dumps(run_session(config).to_json_dict(), sort_keys=True)
+        monkeypatch.setattr(session, "_CHUNK", chunk)
+        assert json.dumps(run_session(config, workers=workers).to_json_dict(), sort_keys=True) == default
 
     def test_three_sigma_coverage_over_seeds(self):
         # fixed-seed sweep; the interval must cover the true value throughout
@@ -714,21 +725,22 @@ class TestRunSession:
         assert "table" in d and d["table"]["mode"] == "count"
 
 
-# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned from the first version of the PCG64DXSM stream:
-# any change to a byte of a session's output, at any worker count or chunk size, changes it
-SESSION_MATRIX_SHA256 = "8bf220ec70992939dde144419506b66841a7f9f0e92eb21fda2ebd5fe19e2233"
+# SHA-256 of the JSON of every session in SESSION_MATRIX, pinned from the first version of the PCG64DXSM stream
+# and re-pinned, with each config's chunk size dropped, from the last version that had one: any change to a byte
+# of a session's output, at any worker count or chunk size, changes it
+SESSION_MATRIX_SHA256 = "6f79a4c987a33ccf6ca8318eb4baaf9fb1c42f31298ce54e0b38b1012bc023c0"
 SESSION_MATRIX = list(itertools.product(("none", "usd"), (1, 2), (1, 7, 65536), (1, 64, 20000)))
 
 
 class TestFixedPath:
     """What a session does once, around its tally: the tables, the generator and the result."""
 
-    def test_session_matrix_is_pinned(self):
+    def test_session_matrix_is_pinned(self, monkeypatch):
         docs = []
-        for k, (attacker, workers, chunk_size, n_rounds) in enumerate(SESSION_MATRIX):
+        for k, (attacker, workers, chunk, n_rounds) in enumerate(SESSION_MATRIX):
+            monkeypatch.setattr(session, "_CHUNK", chunk)
             # a distinct setting for every session, so none reuses another's tables
-            config = SessionConfig(angle=ProtocolAngle.from_degrees(40.0 + 0.5 * k), n_rounds=n_rounds,
-                                   chunk_size=chunk_size, seed=k,
+            config = SessionConfig(angle=ProtocolAngle.from_degrees(40.0 + 0.5 * k), n_rounds=n_rounds, seed=k,
                                    channel=ChannelModel(eta_a=0.95, eta_b=0.85, depol_p=0.02, attacker=attacker))
             docs.append(run_session(config, workers=workers).to_json_dict())
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
@@ -736,7 +748,7 @@ class TestFixedPath:
 
     def test_session_counts_stay_exact_floats(self):
         # why run_session may adopt its own tally without CorrelationTable's checks
-        assert MAX_CHUNKS * MAX_CHUNK_SIZE < 2 ** 53
+        assert MAX_ROUNDS < 2 ** 53
 
     def test_trusted_table_matches_validated_table(self):
         rng = np.random.default_rng(11)
@@ -749,7 +761,7 @@ class TestFixedPath:
         near_cap = np.full((2, 2, 3, 3), (2 ** 38 - 1) // 36, dtype=np.int64)
         near_cap[0, 0, 0, 0] += 2 ** 38 - 1 - near_cap.sum()
         tallies.append(near_cap)
-        config = cfg(n_rounds=2 ** 38, chunk_size=MAX_CHUNK_SIZE)
+        config = cfg(n_rounds=MAX_ROUNDS)
         for grid in tallies:
             grid = grid.astype(np.int64)
             trusted = session._result_from_table(CorrelationTable._from_tally(grid.copy()), config)
@@ -763,8 +775,9 @@ class TestFixedPath:
 
     @pytest.mark.parametrize("seed", [12345, 2 ** 64 - 1])
     @pytest.mark.parametrize("start", [0, 65536 + 3])
-    def test_reused_generator_draws_each_chunk_from_its_own_counter(self, seed, start):
-        run_session(cfg(n_rounds=3000, seed=99, chunk_size=1000))  # leaves the generator it used elsewhere
+    def test_reused_generator_draws_each_chunk_from_its_own_counter(self, monkeypatch, seed, start):
+        monkeypatch.setattr(session, "_CHUNK", 1000)
+        run_session(cfg(n_rounds=3000, seed=99))  # leaves the generator it used elsewhere
         # round r is variate r of the seed's stream, whatever the generator drew before
         want = np.random.Generator(np.random.PCG64DXSM(seed)).random(start + 1000)
         stream = (session._IDLE[-1], np.random.PCG64DXSM(seed).state)
@@ -794,8 +807,9 @@ class TestFixedPath:
                 super().__init__(seed)
 
         monkeypatch.setattr(np.random, "PCG64DXSM", PCG64DXSM)
+        monkeypatch.setattr(session, "_CHUNK", 7)
         for seed in range(3):
-            run_session(cfg(n_rounds=700, chunk_size=7, seed=seed), workers=workers)  # 100 chunks each
+            run_session(cfg(n_rounds=700, seed=seed), workers=workers)  # 100 chunks each
         assert built == [0, 1, 2]
         # every generator came back, once
         assert sorted(map(id, session._IDLE)) == sorted(map(id, idle))
@@ -803,7 +817,8 @@ class TestFixedPath:
     def test_threads_with_their_own_generators_match_one_thread(self, monkeypatch):
         # more threads than cores, switching often, each drawing many short chunks from its reused generator
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        config = cfg(n_rounds=5000, seed=21, chunk_size=7, channel=ChannelModel(eta_b=0.9, attacker="usd"))
+        monkeypatch.setattr(session, "_CHUNK", 7)
+        config = cfg(n_rounds=5000, seed=21, channel=ChannelModel(eta_b=0.9, attacker="usd"))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -819,7 +834,8 @@ class TestFixedPath:
             raise AssertionError("cpu_count read for a session that runs on one thread")
 
         monkeypatch.setattr(os, "cpu_count", no_count)
-        run_session(cfg(n_rounds=n_rounds, chunk_size=1000), workers=workers)
+        monkeypatch.setattr(session, "_CHUNK", 1000)
+        run_session(cfg(n_rounds=n_rounds), workers=workers)
 
     def test_sessions_share_the_tables_of_one_setting(self, monkeypatch):
         builds = []

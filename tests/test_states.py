@@ -31,7 +31,7 @@ class TestProtocolAngle:
         assert ang.alpha == pytest.approx(math.sin(math.pi / 6))
         assert ang.beta == pytest.approx(math.cos(math.pi / 6))
 
-    @pytest.mark.parametrize("bad", [0.0, math.pi / 2, -0.1, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, math.pi / 2, -0.1, math.nan, True, "1.0", np.True_, None])
     def test_rejects_boundary_and_invalid(self, bad):
         with pytest.raises(ValueError):
             ProtocolAngle(bad)
