@@ -2,13 +2,14 @@
 
 Each round consumes exactly one variate of ``Generator.random()`` from one
 PCG64DXSM stream per seed: round r reads variate r of
-``Generator(PCG64DXSM(seed))``. A chunk reaches its first round r by
-jumping the generator's linear congruential state r steps forward with
-``advance(r)``, which costs O(log r) and draws nothing. Because the variate
-of round r lives at a fixed offset in the seeded stream, any partition of
-rounds into chunks -- and any assignment of chunks to worker threads --
-reproduces the same per-round outcomes, and the integer tallies merge
-associatively. Results are therefore bit-identical across worker counts.
+``Generator(PCG64DXSM(seed))``. Each worker seeds its own generator and
+reaches the first round of a chunk by jumping the generator's linear
+congruential state forward with ``advance``, which costs O(log r) for a
+jump of r and draws nothing. Because the variate of round r lives at a
+fixed offset in the seeded stream, any partition of rounds into chunks --
+and any assignment of chunks to worker threads -- reproduces the same
+per-round outcomes, and the integer tallies merge associatively. Results
+are therefore bit-identical across worker counts.
 
 The variate picks the whole round at once: basis choices, outcomes and, on
 attacked sessions, the attacker's branch. Its cells are the exact Born
@@ -25,6 +26,7 @@ import functools
 import math
 import numbers
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -112,20 +114,23 @@ class SessionConfig:
     abort_threshold: float = 0.0
 
     def __post_init__(self):
+        for name, kind in (("angle", ProtocolAngle), ("channel", ChannelModel)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("n_rounds", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("test_fraction", "abort_threshold"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            # the bound is compared before float(), so an int past the float range raises no OverflowError
+            if not _is_real(value) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 1 <= self.n_rounds <= MAX_ROUNDS:
             raise ValueError(f"n_rounds must lie in [1, {MAX_ROUNDS}], got {self.n_rounds!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly inside (0, 1), got {self.test_fraction!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not math.isfinite(self.abort_threshold):
-            raise ValueError("abort_threshold must be finite")
 
     def to_json_dict(self) -> dict:
         fields = _json_fields(self)
@@ -329,22 +334,17 @@ def _shared_distributions(angle: ProtocolAngle, channel: ChannelModel,
     return _Distributions(angle, channel, test_fraction)
 
 
-# generators no worker holds: a worker takes one for a session and gives it back, so the pool's threads, new for
-# every session, construct none. list.pop and list.append are atomic.
-_IDLE = []
-
-
 def _words(stream, start: int, n: int, out: np.ndarray) -> np.ndarray:
     """Variates ``start`` to ``start + n`` of the session stream, drawn into ``out`` (at least ``n`` long).
 
-    ``stream`` is a worker's generator and the session's ``PCG64DXSM(seed).state``. Round r reads variate r
-    of ``Generator(PCG64DXSM(seed))``: one 64-bit word, as ``random()`` makes it. The generator takes the
-    state and jumps ``start`` steps with ``advance``, so no round before the chunk is drawn. The result is a
-    view of ``out``.
+    ``stream`` is ``[generator, next undrawn round]``, the generator a worker's own
+    ``Generator(PCG64DXSM(seed))``. Round r reads variate r: one 64-bit word, as ``random()`` makes it. The
+    generator jumps ``start - next`` steps with ``advance``, so no round before ``start`` is drawn, and
+    ``stream`` moves on to ``start + n``. The result is a view of ``out``.
     """
-    gen, state = stream
-    gen.bit_generator.state = state
-    gen.bit_generator.advance(start)
+    gen, position = stream
+    gen.bit_generator.advance(start - position)
+    stream[1] = start + n
     return gen.random(out=out[:n])
 
 
@@ -404,9 +404,11 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     """Run every round and aggregate. Deterministic in (config.seed) alone.
 
     Rounds are processed in chunks of ``_CHUNK``; ``workers`` > 1 runs at
-    most one thread per chunk and per CPU, each taking the next chunk as it
-    frees up into one running tally. Neither can change any count: each
-    round's variate sits at its own place in the seed's stream.
+    most one thread per chunk and per CPU. Each thread seeds its own
+    generator, takes the next chunk as it frees up and jumps to it with
+    ``advance``, so no generator state is shared between threads or
+    sessions. Neither can change any count: each round's variate sits at
+    its own place in the seed's stream.
     """
     workers = _integer("workers", workers)
     if workers < 1:
@@ -417,7 +419,6 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
     if threads > 1:
         threads = min(threads, os.cpu_count() or 1)
 
-    state = np.random.PCG64DXSM(config.seed).state  # read-only: every worker's generator takes it per chunk
     chunks, lock = iter(starts), threading.Lock()
 
     def next_start() -> Optional[int]:
@@ -425,17 +426,12 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             return next(chunks, None)
 
     def work(_) -> np.ndarray:
-        try:
-            gen = _IDLE.pop()
-        except IndexError:  # seeded with 0 only to skip OS entropy: _words sets its state for every chunk
-            gen = np.random.Generator(np.random.PCG64DXSM(0))
-        try:
-            # one buffer per worker and session: a chunk allocates no round-length array for its draw
-            stream, buffer = (gen, state), np.empty(min(_CHUNK, config.n_rounds))
-            return sum(_tally_chunk(_words(stream, start, min(_CHUNK, config.n_rounds - start), buffer),
-                                    dist) for start in iter(next_start, None))
-        finally:
-            _IDLE.append(gen)
+        # one generator and one buffer per worker and session: a chunk constructs no generator and allocates no
+        # round-length array for its draw. Chunks are handed out in order, so each worker's starts increase.
+        stream = [np.random.Generator(np.random.PCG64DXSM(config.seed)), 0]
+        buffer = np.empty(min(_CHUNK, config.n_rounds))
+        return sum(_tally_chunk(_words(stream, start, min(_CHUNK, config.n_rounds - start), buffer), dist)
+                   for start in iter(next_start, None))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

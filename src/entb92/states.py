@@ -46,6 +46,8 @@ class ProtocolAngle:
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "ProtocolAngle":
+        if not _is_real(degrees) or not 0.0 < degrees < 90.0:
+            raise ValueError(f"theta must lie strictly inside (0, 90) degrees, got {degrees!r}")
         return cls(math.radians(degrees))
 
     @property

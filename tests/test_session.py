@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+import threading
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -109,6 +110,9 @@ class TestSessionConfig:
         {"seed": -1}, {"n_rounds": 1000.7}, {"n_rounds": True}, {"seed": True},
         {"n_rounds": "5"}, {"seed": "7"}, {"test_fraction": "0.3"}, {"abort_threshold": True},
         {"n_rounds": np.bool_(True)}, {"n_rounds": MAX_ROUNDS + 1},
+        {"angle": True}, {"angle": math.pi / 3}, {"channel": "usd"}, {"channel": None},
+        {"test_fraction": 10 ** 400}, {"abort_threshold": 10 ** 400}, {"abort_threshold": -10 ** 400},
+        {"abort_threshold": math.inf}, {"abort_threshold": math.nan},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -775,33 +779,35 @@ class TestFixedPath:
 
     @pytest.mark.parametrize("seed", [12345, 2 ** 64 - 1])
     @pytest.mark.parametrize("start", [0, 65536 + 3])
-    def test_reused_generator_draws_each_chunk_from_its_own_counter(self, monkeypatch, seed, start):
-        monkeypatch.setattr(session, "_CHUNK", 1000)
-        run_session(cfg(n_rounds=3000, seed=99))  # leaves the generator it used elsewhere
-        # round r is variate r of the seed's stream, whatever the generator drew before
-        want = np.random.Generator(np.random.PCG64DXSM(seed)).random(start + 1000)
-        stream = (session._IDLE[-1], np.random.PCG64DXSM(seed).state)
-        np.testing.assert_array_equal(session._words(stream, start, 1000, np.empty(1000)), want[start:])
+    def test_reused_generator_draws_each_chunk_from_its_own_counter(self, seed, start):
+        # one stream drawn chunk after chunk, back to back and then past gaps: round r is variate r of the seed's stream
+        want = np.random.Generator(np.random.PCG64DXSM(seed)).random(start + 5000)
+        stream = [np.random.Generator(np.random.PCG64DXSM(seed)), 0]
+        for first in (start, start + 1000, start + 2500, start + 4999):
+            n = min(1000, start + 5000 - first)
+            np.testing.assert_array_equal(session._words(stream, first, n, np.empty(1000)), want[first:first + n])
+            assert stream[1] == first + n
 
     def test_words_are_slices_of_one_long_draw(self):
         seed = 2 ** 63 + 5
         whole = np.random.Generator(np.random.PCG64DXSM(seed)).random(2 ** 17)
-        state = np.random.PCG64DXSM(seed).state
-        spans = [(0, 1), (0, 2 ** 17), (2 ** 17 - 1, 1), *np.random.default_rng(3).integers(0, 2 ** 16, (30, 2)).tolist()]
-        for k, (start, n) in enumerate(spans):
-            run_session(cfg(n_rounds=50, seed=k))  # another session on the generator right before
-            drawn = session._words((session._IDLE[-1], state), start, n, np.empty(n + 5))
+        # one fresh stream: the first variate, 30 spans (some empty) at increasing starts with gaps between, the last
+        cuts = np.sort(np.random.default_rng(3).integers(1, 2 ** 17 - 1, 60)).tolist()
+        spans = [(0, 1), *((cuts[k], cuts[k + 1] - cuts[k]) for k in range(0, 60, 2)), (2 ** 17 - 1, 1)]
+        stream = [np.random.Generator(np.random.PCG64DXSM(seed)), 0]
+        for start, n in spans:
+            drawn = session._words(stream, start, n, np.empty(n + 5))
             np.testing.assert_array_equal(drawn, whole[start:start + n])
+        whole_again = [np.random.Generator(np.random.PCG64DXSM(seed)), 0]
+        np.testing.assert_array_equal(session._words(whole_again, 0, 2 ** 17, np.empty(2 ** 17)), whole)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_generator_construction_per_session(self, monkeypatch, workers):
-        # the seed's state is derived once per session; workers reuse idle generators, and chunks construct none
+        # each worker thread seeds one generator per session, and its chunks construct none
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        idle = [np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(2)]
-        monkeypatch.setattr(session, "_IDLE", list(idle))
         built = []
 
-        class PCG64DXSM(np.random.PCG64DXSM):  # its name is part of the state it gives and takes
+        class PCG64DXSM(np.random.PCG64DXSM):
             def __init__(self, seed):
                 built.append(seed)
                 super().__init__(seed)
@@ -810,9 +816,36 @@ class TestFixedPath:
         monkeypatch.setattr(session, "_CHUNK", 7)
         for seed in range(3):
             run_session(cfg(n_rounds=700, seed=seed), workers=workers)  # 100 chunks each
-        assert built == [0, 1, 2]
-        # every generator came back, once
-        assert sorted(map(id, session._IDLE)) == sorted(map(id, idle))
+        assert built == [seed for seed in range(3) for _ in range(workers)]
+
+    def test_concurrent_sessions_match_serial_runs(self, monkeypatch):
+        # two 2-worker sessions at once from two threads share no generator state, and leave no thread behind
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(session, "_CHUNK", 100)  # 400 chunks a session, so the two runs overlap
+        configs = [cfg(n_rounds=40000, seed=3),
+                   cfg(n_rounds=40000, seed=4, channel=ChannelModel(eta_b=0.9, attacker="usd"))]
+        want = [json.dumps(run_session(config, workers=2).to_json_dict()) for config in configs]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got, barrier = [None, None], threading.Barrier(2)
+
+                def run(k):
+                    barrier.wait(timeout=60)
+                    got[k] = json.dumps(run_session(configs[k], workers=2).to_json_dict())
+
+                callers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+                    assert not caller.is_alive()
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
 
     def test_threads_with_their_own_generators_match_one_thread(self, monkeypatch):
         # more threads than cores, switching often, each drawing many short chunks from its reused generator

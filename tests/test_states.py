@@ -39,6 +39,13 @@ class TestProtocolAngle:
     def test_from_degrees(self):
         assert ProtocolAngle.from_degrees(60.0).theta == pytest.approx(math.pi / 3)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "60", None, 10 ** 400, -10 ** 400,
+                                     0, 90, -1.0, math.nan, math.inf])
+    def test_from_degrees_rejects_non_angles(self, bad):
+        # every bad input raises ValueError, before math.radians can convert or overflow
+        with pytest.raises(ValueError, match="degrees"):
+            ProtocolAngle.from_degrees(bad)
+
     def test_amplitudes_normalized(self):
         for th in THETAS:
             ang = ProtocolAngle(th)
