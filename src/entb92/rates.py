@@ -21,6 +21,7 @@ value.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Tuple
@@ -34,6 +35,7 @@ from .states import ProtocolAngle
 _CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 _SLACK = 1e-9
+_LN2 = math.log(2.0)
 _check_depol = partial(_probability, "depolarization probability")
 
 STRATEGIES = ("fixed_settings", "ch_max")
@@ -148,8 +150,7 @@ def depolarized_ch(s_ch: float, p: float) -> float:
     depolarizing (p = 3/4) lands on -1/2, the value of uncorrelated noise.
     Works elementwise on arrays.
     """
-    p = _check_depol(p)
-    return (1.0 - 4.0 * p / 3.0) * s_ch - 2.0 * p / 3.0
+    return _depolarized(_check_depol(p), s_ch, 0.0, 0.0)[0]
 
 
 def _as_angle(theta) -> ProtocolAngle:
@@ -161,19 +162,34 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
 
-def _key_round_weights(theta, phi, p: float):
-    """Conclusive weights (same, diff) of the key rounds.
+# The elementwise functions of the closed forms: numpy's for the arrays of the scan, and for single angles libm's
+# through ``math``, where a numpy scalar call costs several times the arithmetic. The two must round alike,
+# element for element. Squares are pow(x, 2.0) on both sides (``np.float_power`` calls libm's pow; x * x differs
+# from it in the last bit on about 0.1 % of inputs), and ``math.atan`` differs from numpy's arctan in the last
+# bit on about 0.2 % of inputs, so the float backend calls numpy's.
+_Backend = namedtuple("_Backend", "sin cos sqrt arctan pow")
+_ARRAY = _Backend(np.sin, np.cos, np.sqrt, np.arctan, np.float_power)
+_FLOAT = _Backend(math.sin, math.cos, math.sqrt, lambda x: float(np.arctan(x)), math.pow)
+
+
+def _depolarized(p: float, s_clean, same, diff):
+    """Depolarization p (not validated) of a clean Bell value and of the clean key-round weights.
+
+    All three scale by d = 1 - 4p/3; then the Bell value shifts by -2p/3 and the weights by +2p/3.
+    """
+    d, shift = 1.0 - 4.0 * p / 3.0, 2.0 * p / 3.0
+    return d * s_clean - shift, d * same + shift, d * diff + shift
+
+
+def _key_round_weights(theta, phi, fns: _Backend = _ARRAY):
+    """Conclusive weights (same, diff) of the key rounds on a noiseless channel.
 
     ``same`` is P(conclusive | receiver basis equals the sender bit): the
     conjugate ket at setting angle phi overlaps the signal at theta by
     sin((phi - theta)/2); ``diff`` is the other basis, with overlap
-    sin((phi + theta)/2). Depolarization scales both by d = 1 - 4p/3 and adds
-    2p/3. Works elementwise on arrays.
+    sin((phi + theta)/2). ``_depolarized`` adds the noise.
     """
-    d = 1.0 - 4.0 * p / 3.0
-    same = d * np.sin(0.5 * (phi - theta)) ** 2 + 2.0 * p / 3.0
-    diff = d * np.sin(0.5 * (phi + theta)) ** 2 + 2.0 * p / 3.0
-    return same, diff
+    return fns.pow(fns.sin(0.5 * (phi - theta)), 2.0), fns.pow(fns.sin(0.5 * (phi + theta)), 2.0)
 
 
 def _qber_and_fraction(same, diff):
@@ -181,28 +197,25 @@ def _qber_and_fraction(same, diff):
     return same / (same + diff), 0.5 * (same + diff)
 
 
-def _setting(theta, strategy: str):
+def _setting(theta, strategy: str, fns: _Backend = _ARRAY):
     """(phi, dphi/dtheta, clean S_CH, dS_CH/dtheta) of a strategy at source angle theta.
 
     The receiver's setting angle phi is theta for ``fixed_settings`` and
     atan(sin theta) for ``ch_max``; the clean Bell value is the analytic_ch /
-    analytic_ch_max curve. Works elementwise on arrays.
+    analytic_ch_max curve.
     """
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sin_t, cos_t = fns.sin(theta), fns.cos(theta)
     if strategy == "fixed_settings":
         return theta, 1.0, 0.5 * cos_t * (1.0 - cos_t), 0.5 * sin_t * (2.0 * cos_t - 1.0)
-    root = np.sqrt(sin_t * sin_t + 1.0)
-    return np.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
+    root = fns.sqrt(sin_t * sin_t + 1.0)
+    return fns.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
 
 
-def _closed_form(theta, p: float, strategy: str):
-    """(S_CH, QBER, conclusive fraction) at source angle theta, a float or an array.
-
-    The Bell value is the depolarized clean value of ``_setting``; Q and the
-    conclusive fraction are those of ``_qber_and_fraction``.
-    """
-    phi, _, s_clean, _ = _setting(theta, strategy)
-    return depolarized_ch(s_clean, p), *_qber_and_fraction(*_key_round_weights(theta, phi, p))
+def _closed_form(theta, p: float, strategy: str, fns: _Backend = _ARRAY):
+    """(S_CH, QBER, conclusive fraction) at source angle theta: an array, or a float with ``_FLOAT``."""
+    phi, _, s_clean, _ = _setting(theta, strategy, fns)
+    s, same, diff = _depolarized(p, s_clean, *_key_round_weights(theta, phi, fns))
+    return s, *_qber_and_fraction(same, diff)
 
 
 def qber_and_conclusive(theta, channel: ChannelModel):
@@ -215,9 +228,7 @@ def qber_and_conclusive(theta, channel: ChannelModel):
     """
     if channel.attacker != "none":
         raise ValueError("analytic error rates are defined for attack-free channels")
-    theta = _as_angle(theta).theta
-    q, f_con = _qber_and_fraction(*_key_round_weights(theta, theta, channel.depol_p))
-    return float(q), float(f_con)
+    return _closed_form(_as_angle(theta).theta, channel.depol_p, "fixed_settings", _FLOAT)[1:]
 
 
 def _rate_report(s_ch: float, qber: float, conclusive_fraction: float, n_con: Optional[int] = None) -> RateReport:
@@ -240,11 +251,19 @@ def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateRe
     larger Bell value against a larger error rate. ``rate`` is per detected pair.
     """
     _check_strategy(strategy)
-    return _rate_report(*map(float, _closed_form(_as_angle(theta).theta, _check_depol(p), strategy)))
+    return _rate_report(*_closed_form(_as_angle(theta).theta, _check_depol(p), strategy, _FLOAT))
+
+
+def _scan_columns(theta: np.ndarray, strategy: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p-free rows of the scan, (clean S_CH, clean same, clean diff), one column per angle."""
+    phi, _, s_clean, _ = _setting(theta, strategy)
+    return (s_clean, *_key_round_weights(theta, phi))
 
 
 _THETA_GRID = np.linspace(1e-4, math.pi / 2 - 1e-4, 200)
-_THETA_GRID.setflags(write=False)
+_SCAN_COLUMNS = {strategy: _scan_columns(_THETA_GRID, strategy) for strategy in STRATEGIES}
+for _fixed in (_THETA_GRID, *(row for rows in _SCAN_COLUMNS.values() for row in rows)):
+    _fixed.setflags(write=False)
 
 
 def _gain_array(s: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -256,7 +275,7 @@ def _gain_array(s: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _gain_slope(theta: float, p: float, strategy: str) -> float:
-    """d(gain)/d(theta) of the closed form, for one angle.
+    """d(gain)/d(theta) of the closed form, for one angle, on Python floats; p is not validated here.
 
     gain = 1 - log2(1 + r) - h(Q) with r = sqrt(1 - 4s - 4s^2), so
     d gain = 2 s' (1 + 2s) / (ln 2 r (1 + r)) - log2((1 - Q)/Q) Q'.
@@ -264,12 +283,12 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
     settings on a noiseless channel, where Q vanishes identically.
     """
     d = 1.0 - 4.0 * p / 3.0
-    phi, dphi, s_clean, ds_clean = _setting(theta, strategy)
-    s = depolarized_ch(s_clean, p)
-    same, diff = _key_round_weights(theta, phi, p)
+    phi, dphi, s_clean, ds_clean = _setting(theta, strategy, _FLOAT)
+    same, diff = _key_round_weights(theta, phi, _FLOAT)
+    s, same, diff = _depolarized(p, s_clean, same, diff)
     q, _ = _qber_and_fraction(same, diff)
     r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
-    slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (math.log(2.0) * r * (1.0 + r))
+    slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (_LN2 * r * (1.0 + r))
     if q > 0.0:
         d_same = 0.5 * d * math.sin(phi - theta) * (dphi - 1.0)
         d_diff = 0.5 * d * math.sin(phi + theta) * (dphi + 1.0)
@@ -293,8 +312,8 @@ def _bisect(f: Callable[[float], float], a: float, b: float) -> Tuple[float, flo
 def optimal_theta(p: float, strategy: str = "fixed_settings"):
     """Source angle maximizing the secure gain at depolarization p.
 
-    A 200-point scan of (0, pi/2), evaluated as one array expression, picks
-    the best grid angle; its two neighbours bracket the maximum, where the
+    A 200-point scan of (0, pi/2), one array step from the p-free columns fixed at
+    import, picks the best grid angle; its two neighbours bracket the maximum, where the
     analytic d(gain)/d(theta) changes sign from positive to negative. That
     root is bisected until the bracket holds two adjacent floats; theta* is
     the last float at which the computed slope is still positive. Returns
@@ -303,9 +322,9 @@ def optimal_theta(p: float, strategy: str = "fixed_settings"):
     """
     _check_strategy(strategy)
     p = _check_depol(p)
-    s, q, _ = _closed_form(_THETA_GRID, p, strategy)
-    i = int(np.argmax(_gain_array(s, q)))
-    a, b = map(float, _THETA_GRID[[max(i - 1, 0), min(i + 1, len(_THETA_GRID) - 1)]])
+    s, same, diff = _depolarized(p, *_SCAN_COLUMNS[strategy])
+    i = int(_gain_array(s, _qber_and_fraction(same, diff)[0]).argmax())
+    a, b = _THETA_GRID.item(max(i - 1, 0)), _THETA_GRID.item(min(i + 1, len(_THETA_GRID) - 1))
     if _gain_slope(a, p, strategy) <= 0.0:
         theta_star = a  # gain falls from the low end of the scan range
     elif _gain_slope(b, p, strategy) > 0.0:

@@ -426,10 +426,10 @@ def run_session(config: SessionConfig, workers: int = 1) -> SessionResult:
             return next(chunks, None)
 
     def work(_) -> np.ndarray:
-        # one generator and one buffer per worker and session: a chunk constructs no generator and allocates no
-        # round-length array for its draw. Chunks are handed out in order, so each worker's starts increase.
-        stream = [np.random.Generator(np.random.PCG64DXSM(config.seed)), 0]
+        # one generator and one buffer per worker and session, the buffer first (else malloc may trim it off the heap
+        # between sessions); a chunk allocates neither. Chunks go out in order, so each worker's starts increase.
         buffer = np.empty(min(_CHUNK, config.n_rounds))
+        stream = [np.random.Generator(np.random.PCG64DXSM(config.seed)), 0]
         return sum(_tally_chunk(_words(stream, start, min(_CHUNK, config.n_rounds - start), buffer), dist)
                    for start in iter(next_start, None))
 

@@ -212,6 +212,87 @@ def golden_section_max(fn, lo, hi, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
+# the theta* solver on numpy scalars: the 200-point scan, the analytic slope
+# evaluated through numpy's scalar ufuncs, and the bisection to adjacent floats
+
+
+def np_key_round_weights(theta, phi, p):
+    d = 1.0 - 4.0 * p / 3.0
+    same = d * np.sin(0.5 * (phi - theta)) ** 2 + 2.0 * p / 3.0
+    diff = d * np.sin(0.5 * (phi + theta)) ** 2 + 2.0 * p / 3.0
+    return same, diff
+
+
+def np_qber_and_fraction(same, diff):
+    return same / (same + diff), 0.5 * (same + diff)
+
+
+def np_setting(theta, strategy):
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    if strategy == "fixed_settings":
+        return theta, 1.0, 0.5 * cos_t * (1.0 - cos_t), 0.5 * sin_t * (2.0 * cos_t - 1.0)
+    root = np.sqrt(sin_t * sin_t + 1.0)
+    return np.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
+
+
+def np_closed_form(theta, p, strategy):
+    """(S_CH, QBER, conclusive fraction) as Python floats for a float theta, arrays for an array."""
+    phi, _, s_clean, _ = np_setting(theta, strategy)
+    out = (depol_ch_closed(s_clean, p), *np_qber_and_fraction(*np_key_round_weights(theta, phi, p)))
+    return out if isinstance(theta, np.ndarray) else tuple(map(float, out))
+
+
+def np_gain_array(s, q):
+    inside = (q > 0.0) & (q < 1.0)
+    qi = np.where(inside, q, 0.5)
+    entropy = np.where(inside, -qi * np.log2(qi) - (1.0 - qi) * np.log2(1.0 - qi), 0.0)
+    return 1.0 - np.log2(1.0 + np.sqrt(np.maximum(1.0 - 4.0 * s - 4.0 * s * s, 0.0))) - entropy
+
+
+def np_gain_slope(theta, p, strategy):
+    d = 1.0 - 4.0 * p / 3.0
+    phi, dphi, s_clean, ds_clean = np_setting(theta, strategy)
+    s = depol_ch_closed(s_clean, p)
+    same, diff = np_key_round_weights(theta, phi, p)
+    q, _ = np_qber_and_fraction(same, diff)
+    r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
+    slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (math.log(2.0) * r * (1.0 + r))
+    if q > 0.0:
+        d_same = 0.5 * d * math.sin(phi - theta) * (dphi - 1.0)
+        d_diff = 0.5 * d * math.sin(phi + theta) * (dphi + 1.0)
+        dq = (d_same * diff - same * d_diff) / (same + diff) ** 2
+        slope -= math.log2((1.0 - q) / q) * dq
+    return slope
+
+
+def bisect_adjacent(f, a, b):
+    """Bisect a sign change of f, with f(a) > 0 >= f(b), until [a, b] holds two adjacent floats."""
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if f(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return a, b
+
+
+THETA_GRID = np.linspace(1e-4, math.pi / 2 - 1e-4, 200)
+
+
+def np_optimal_theta(p, strategy):
+    """theta* from the grid bracket of the 200-point scan, bisected on np_gain_slope."""
+    s, q, _ = np_closed_form(THETA_GRID, p, strategy)
+    i = int(np.argmax(np_gain_array(s, q)))
+    a, b = map(float, THETA_GRID[[max(i - 1, 0), min(i + 1, len(THETA_GRID) - 1)]])
+    if np_gain_slope(a, p, strategy) <= 0.0:
+        return a
+    if np_gain_slope(b, p, strategy) > 0.0:
+        return b
+    return bisect_adjacent(lambda theta: np_gain_slope(theta, p, strategy), a, b)[0]
+
+
+# ---------------------------------------------------------------------------
 # unambiguous-discrimination attack
 
 

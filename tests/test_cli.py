@@ -171,6 +171,12 @@ class TestRateCurve:
         assert message in err
         assert not out.exists()
 
+    def test_default_json_is_pinned(self, tmp_path, run_cli):
+        # 17 digits: the golden file pins every theta* to the ulp, which the 12-digit CSV golden cannot
+        out = tmp_path / "rate_curve.json"
+        assert run_cli("rate-curve", "--format", "json", "--output", str(out))[0] == 0
+        assert out.read_bytes() == (FIXTURES / "rate_curve_golden.json").read_bytes()
+
     def test_full_range_accepted(self, tmp_path, run_cli):
         out = tmp_path / "rc.csv"
         code, _, _ = run_cli("rate-curve", "--p-max", "1", "--p-step", "0.5",

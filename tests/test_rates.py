@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from entb92.rates import (
 from entb92.states import ProtocolAngle, bob_basis, ch_settings, signal_state
 
 RNG = np.random.default_rng(9203)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestBinaryEntropy:
@@ -336,6 +339,78 @@ class TestExactThetaStar:
                 fd = (normalized_rate(th + h, p, strategy).gain
                       - normalized_rate(th - h, p, strategy).gain) / (2 * h)
                 assert rates._gain_slope(th, p, strategy) == pytest.approx(fd, abs=1e-8)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def oracle_p_values():
+    """p = 0, the default rate-curve grid, both noise thresholds with the float past each, random p up to 0.71
+    and beyond it, where the float the bisection lands on is most sensitive to how the slope is computed."""
+    rng = np.random.default_rng(2107)
+    grid = [row["p"] for row in json.loads((FIXTURES / "rate_curve_golden.json").read_text())["rows"]]
+    noise = json.loads((FIXTURES / "thresholds_golden.json").read_text())["max_depolarization"]
+    edges = [x for entry in noise.values() for x in entry["bracket"]]
+    return [0.0, *grid, *edges, *rng.uniform(0.0, 0.05, 60), *rng.uniform(0.05, 0.71, 30),
+            *rng.uniform(0.71, 1.0, 40), 1.0]
+
+
+class TestSolverOracle:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_theta_star_and_report_match_numpy_scalar_solver(self, strategy):
+        ps = oracle_p_values()
+        assert len(ps) >= 200 and sum(p > 0.71 for p in ps) >= 40
+        for p in ps:
+            theta_ref = oracle.np_optimal_theta(p, strategy)
+            theta, report = optimal_theta(p, strategy)
+            assert theta.hex() == theta_ref.hex(), (p, strategy)
+            want = rates._rate_report(*oracle.np_closed_form(theta_ref, p, strategy))
+            assert bits(vars(report).values()) == bits(vars(want).values()), (p, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_slope_matches_numpy_scalar_slope(self, strategy):
+        for theta in np.random.default_rng(3301).uniform(0.0, math.pi / 2, 200).tolist():
+            for p in (0.0, 0.02, 0.8):
+                assert rates._gain_slope(theta, p, strategy).hex() == oracle.np_gain_slope(theta, p, strategy).hex()
+
+
+class TestBackends:
+    ANGLES = [*rates._THETA_GRID.tolist(), *np.random.default_rng(4411).uniform(0.0, math.pi / 2, 1200).tolist()]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float_backend_equals_array_elements(self, strategy):
+        # if this host's numpy sin, cos, sqrt or float_power rounds unlike libm, this is the test that fails
+        theta = np.array(self.ANGLES)
+        setting = rates._setting(theta, strategy)
+        phi = setting[0]
+        weights = rates._key_round_weights(theta, phi)
+        closed = rates._closed_form(theta, 0.013, strategy)
+        for k, th in enumerate(self.ANGLES):
+            got = rates._setting(th, strategy, rates._FLOAT)
+            assert bits(got) == bits(np.broadcast_to(col, theta.shape)[k] for col in setting), th
+            assert bits(rates._key_round_weights(th, got[0], rates._FLOAT)) == bits(col[k] for col in weights), th
+            float_closed = rates._closed_form(th, 0.013, strategy, rates._FLOAT)
+            assert all(type(v) is float for v in float_closed)
+            assert bits(float_closed) == bits(col[k] for col in closed), th
+
+    def test_scan_columns_are_read_only(self):
+        assert set(rates._SCAN_COLUMNS) == set(STRATEGIES)
+        arrays = [rates._THETA_GRID, *(row for rows in rates._SCAN_COLUMNS.values() for row in rows)]
+        assert len(arrays) == 7
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("p", [0.0, 0.0005, 0.013, 0.033624, 0.2, 0.75, 0.93, 1.0])
+    def test_scan_columns_give_closed_form_bits(self, strategy, p):
+        s, same, diff = rates._depolarized(p, *rates._SCAN_COLUMNS[strategy])
+        s_want, q_want, f_want = rates._closed_form(rates._THETA_GRID, p, strategy)
+        q, f = rates._qber_and_fraction(same, diff)
+        for got, want in ((s, s_want), (q, q_want), (f, f_want)):
+            assert bits(got) == bits(want)
 
 
 def violation_condition(eta_a, eta_b):
