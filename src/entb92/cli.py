@@ -22,13 +22,14 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import stat
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,27 +65,67 @@ class RunManifest:
         return path
 
 
-def _write_text(path: str, text: str) -> str:
-    """Write ``text`` as UTF-8 and return the SHA-256 of the bytes written, so no output is read back."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+def _write_text(path: str, blocks: Iterable[str]) -> str:
+    """Write the UTF-8 of each text block in turn over ``path`` and return the SHA-256 of all of it.
+
+    Every output goes through here, and nothing is read back. An existing file is overwritten in place and then
+    cut to the written length, which on ext4 measured about a fifth of the cost of truncating it to zero first
+    (likely because ext4 starts the writeback of a file rewritten after such a truncate when it is closed). A
+    FIFO or a device such as /dev/null takes the bytes and is never truncated. Nothing is fsynced; a run killed
+    mid-write leaves the new bytes in front of the old file's tail, and a digest that matches no manifest.
+    """
+    digest, size = hashlib.sha256(), 0
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for block in blocks:
+            data = block.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+            size += len(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), size)
+    return digest.hexdigest()
+
+
+class _Rows(NamedTuple):
+    """The JSON document ``{"rows": [...]}`` of a table: one object per row, keyed by ``header``, given in blocks."""
+
+    header: List[str]
+    blocks: Iterable[list]
+
+
+def _json_number(value) -> str:
+    """A number as ``json.dumps`` writes a float: its repr, or NaN, Infinity and -Infinity."""
+    value = float(value)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_blocks(obj) -> Iterator[str]:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` in blocks: a ``_Rows`` document one row block at a time."""
+    if not isinstance(obj, _Rows):
+        yield json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return
+    order = sorted(range(len(obj.header)), key=obj.header.__getitem__)
+    row = "    {\n%s\n    }" % ",\n".join(
+        f"      {json.dumps(obj.header[k])}: ".replace("%", "%%") + "%s" for k in order)
+    first = True
+    for block in obj.blocks:
+        if block:
+            text = ",\n".join(row % tuple(_json_number(values[k]) for k in order) for values in block)
+            yield ('{\n  "rows": [\n' if first else ",\n") + text
+            first = False
+    yield '{\n  "rows": []\n}\n' if first else "\n  ]\n}\n"
 
 
 def _write_json(path: str, obj) -> str:
-    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return _write_text(path, _json_blocks(obj))
 
 
-def _write_csv(path: str, header: List[str], rows: List[List[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return _write_text(path, "\n".join(lines) + "\n")
-
-
-def _fmt(value: float) -> str:
-    return "%.12g" % float(value)
+def _write_csv(path: str, header: List[str], blocks: Iterable[list]) -> str:
+    """A header line, then one line per row of each block: every value as ``%.12g`` of its float."""
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    return _write_text(path, itertools.chain([",".join(header) + "\n"],
+                                             ("".join(line % tuple(row) for row in block) for block in blocks)))
 
 
 def _check_writable(*paths: str) -> None:
@@ -124,17 +165,21 @@ def _finish(args, digests: List[str], params=None, seed=None) -> None:
     manifest.write(args.output)
 
 
-def _emit_table(args, header: List[str], rows: List[List[float]]) -> int:
+def _emit_table(args, header: List[str], blocks: Iterable[list]) -> int:
+    """Write the table whose rows come in ``blocks`` in ``--format``, then its manifest."""
     if args.format == "csv":
-        digest = _write_csv(args.output, header, rows)
+        digest = _write_csv(args.output, header, blocks)
     else:
-        digest = _write_json(args.output, {"rows": [dict(zip(header, map(float, row))) for row in rows]})
+        digest = _write_json(args.output, _Rows(header, blocks))
     _finish(args, [digest])
     return EXIT_OK
 
 
 # largest grid any subcommand builds, checked before the grid is allocated
 _MAX_GRID_POINTS = 1_000_000
+# rows per block of a streamed table. In attack-demo each array temporary stays under 75 KB, and at 200 000
+# points the peak RSS matched a per-angle loop's; 2^11-angle blocks added 1.5 MB
+_BLOCK = 2 ** 8
 
 
 def _theta_grid_degrees(args) -> np.ndarray:
@@ -142,21 +187,31 @@ def _theta_grid_degrees(args) -> np.ndarray:
         raise ValueError("need at least 2 grid points")
     if args.points > _MAX_GRID_POINTS:
         raise ValueError(f"the angle grid may hold at most {_MAX_GRID_POINTS} points, got {args.points}")
-    if not 0.0 < args.theta_min_deg < args.theta_max_deg < 90.0:
+    # the rows are computed in radians, where a subnormal number of degrees rounds to 0
+    if not (0.0 < math.radians(args.theta_min_deg) and args.theta_min_deg < args.theta_max_deg < 90.0):
         raise ValueError("degree grid must satisfy 0 < min < max < 90")
     return np.linspace(args.theta_min_deg, args.theta_max_deg, args.points)
 
 
+def _grid_blocks(grid: np.ndarray) -> Iterator[np.ndarray]:
+    """``grid`` in consecutive slices of ``_BLOCK`` values."""
+    return (grid[start:start + _BLOCK] for start in range(0, len(grid), _BLOCK))
+
+
+def _curve_rows(degrees: np.ndarray) -> List[list]:
+    """curve's rows at ``degrees``, one angle at a time."""
+    rows = []
+    for deg in degrees.tolist():
+        theta = math.radians(deg)
+        s_max, bob_angle = analytic_ch_max(theta)
+        rows.append([deg, analytic_ch(theta), s_max, math.degrees(bob_angle)])
+    return rows
+
+
 def cmd_curve(args) -> int:
     """Bell value and best-achievable Bell value per source angle."""
-    grid = _theta_grid_degrees(args)
-    rows = []
-    for deg in grid:
-        theta = math.radians(deg)
-        s = analytic_ch(theta)
-        s_max, bob_angle = analytic_ch_max(theta)
-        rows.append([deg, s, s_max, math.degrees(bob_angle)])
-    return _emit_table(args, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], rows)
+    blocks = map(_curve_rows, _grid_blocks(_theta_grid_degrees(args)))
+    return _emit_table(args, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], blocks)
 
 
 def cmd_rate_curve(args) -> int:
@@ -174,12 +229,13 @@ def cmd_rate_curve(args) -> int:
     n_steps = int(round(ratio))
     if abs(n_steps * args.p_step - args.p_max) > 1e-12 * args.p_max:
         raise ValueError("p-max must be an integer multiple of p-step")
-    grid = np.arange(n_steps + 1) * args.p_step
+    # one block, solved in full before the output is opened: a failed solve leaves no partial file, and at
+    # about 0.1 ms a solve the rows' memory never matters
     rows = []
-    for p in grid:
-        theta_star, report = optimal_theta(float(p))
-        rows.append([float(p), report.normalized_rate, math.degrees(theta_star), pm_reference_rate(float(p))])
-    return _emit_table(args, ["p", "normalized_rate", "theta_star_deg", "pm_reference"], rows)
+    for p in (np.arange(n_steps + 1) * args.p_step).tolist():
+        theta_star, report = optimal_theta(p)
+        rows.append([p, report.normalized_rate, math.degrees(theta_star), pm_reference_rate(p)])
+    return _emit_table(args, ["p", "normalized_rate", "theta_star_deg", "pm_reference"], [rows])
 
 
 def cmd_thresholds(args) -> int:
@@ -272,31 +328,25 @@ def cmd_simulate(args) -> int:
     if args.table_csv is not None:
         rows = [[*cell, int(n)] for cell, n in np.ndenumerate(result.table.grids)]
         digests.append(_write_csv(args.table_csv,
-                                  ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], rows))
+                                  ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count"], [rows]))
     _finish(args, digests, {**params, "workers": args.workers}, config.seed)
     return EXIT_INSUFFICIENT if result.insufficient_statistics else EXIT_OK
 
 
-# attack-demo evaluates its attacked column this many angles at a time. Each array temporary stays under
-# 75 KB, and at 200 000 points the peak RSS matched the per-angle loop's; 2^11-angle blocks added 1.5 MB
-_ATTACK_BLOCK = 2 ** 8
+_USD = ChannelModel(attacker="usd")
 
 
-def _attack_rows(degrees: List[float], channel: ChannelModel) -> List[list]:
-    """attack-demo's rows at ``degrees``: the clean closed form per angle, the attacked column in one pass."""
-    angles = [ProtocolAngle.from_degrees(deg) for deg in degrees]
-    attacked = born_ch(angles, channel).tolist()
-    return [[deg, analytic_ch(angle.theta), s] for deg, angle, s in zip(degrees, angles, attacked)]
+def _attack_rows(degrees: np.ndarray) -> List[list]:
+    """attack-demo's rows at ``degrees``: the clean closed form of ``analytic_ch`` and the attacked ``born_ch``."""
+    theta = np.radians(degrees)
+    c = np.cos(theta)
+    return np.column_stack([degrees, 0.5 * c * (1.0 - c), born_ch(theta, _USD)]).tolist()
 
 
 def cmd_attack_demo(args) -> int:
     """Clean versus attacked Bell value across the angle range."""
-    grid = _theta_grid_degrees(args)
-    attacked_channel = ChannelModel(attacker="usd")
-    rows = []
-    for start in range(0, len(grid), _ATTACK_BLOCK):
-        rows += _attack_rows(grid[start:start + _ATTACK_BLOCK].tolist(), attacked_channel)
-    return _emit_table(args, ["theta_deg", "s_ch_clean", "s_ch_attacked"], rows)
+    blocks = map(_attack_rows, _grid_blocks(_theta_grid_degrees(args)))
+    return _emit_table(args, ["theta_deg", "s_ch_clean", "s_ch_attacked"], blocks)
 
 
 def _positive_int(text: str) -> int:

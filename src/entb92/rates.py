@@ -66,7 +66,7 @@ class RateReport:
     normalized_rate: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in vars(self).values()):
+        if not all(map(math.isfinite, vars(self).values())):
             raise ValueError("rate report fields must be finite")
         if not -_SLACK <= self.qber <= 1.0 + _SLACK:
             raise ValueError(f"qber must lie in [0, 1], got {self.qber!r}")
@@ -192,9 +192,10 @@ def _key_round_weights(theta, phi, fns: _Backend = _ARRAY):
     return fns.pow(fns.sin(0.5 * (phi - theta)), 2.0), fns.pow(fns.sin(0.5 * (phi + theta)), 2.0)
 
 
-def _qber_and_fraction(same, diff):
-    """Q = same/(same + diff) and the conclusive fraction (same + diff)/2 of the key-round weights."""
-    return same / (same + diff), 0.5 * (same + diff)
+def _qber_and_total(same, diff):
+    """Q = same/(same + diff) and the total same + diff of the key-round weights, twice the conclusive fraction."""
+    total = same + diff
+    return same / total, total
 
 
 def _setting(theta, strategy: str, fns: _Backend = _ARRAY):
@@ -215,7 +216,8 @@ def _closed_form(theta, p: float, strategy: str, fns: _Backend = _ARRAY):
     """(S_CH, QBER, conclusive fraction) at source angle theta: an array, or a float with ``_FLOAT``."""
     phi, _, s_clean, _ = _setting(theta, strategy, fns)
     s, same, diff = _depolarized(p, s_clean, *_key_round_weights(theta, phi, fns))
-    return s, *_qber_and_fraction(same, diff)
+    q, total = _qber_and_total(same, diff)
+    return s, q, 0.5 * total
 
 
 def qber_and_conclusive(theta, channel: ChannelModel):
@@ -286,13 +288,13 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
     phi, dphi, s_clean, ds_clean = _setting(theta, strategy, _FLOAT)
     same, diff = _key_round_weights(theta, phi, _FLOAT)
     s, same, diff = _depolarized(p, s_clean, same, diff)
-    q, _ = _qber_and_fraction(same, diff)
+    q, total = _qber_and_total(same, diff)
     r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
     slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (_LN2 * r * (1.0 + r))
     if q > 0.0:
         d_same = 0.5 * d * math.sin(phi - theta) * (dphi - 1.0)
         d_diff = 0.5 * d * math.sin(phi + theta) * (dphi + 1.0)
-        dq = (d_same * diff - same * d_diff) / (same + diff) ** 2
+        dq = (d_same * diff - same * d_diff) / total ** 2
         slope -= math.log2((1.0 - q) / q) * dq
     return slope
 
@@ -323,7 +325,7 @@ def optimal_theta(p: float, strategy: str = "fixed_settings"):
     _check_strategy(strategy)
     p = _check_depol(p)
     s, same, diff = _depolarized(p, *_SCAN_COLUMNS[strategy])
-    i = int(_gain_array(s, _qber_and_fraction(same, diff)[0]).argmax())
+    i = int(_gain_array(s, _qber_and_total(same, diff)[0]).argmax())
     a, b = _THETA_GRID.item(max(i - 1, 0)), _THETA_GRID.item(min(i + 1, len(_THETA_GRID) - 1))
     if _gain_slope(a, p, strategy) <= 0.0:
         theta_star = a  # gain falls from the low end of the scan range

@@ -23,7 +23,6 @@ tally and the scalar ``sample_round`` both run it.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import os
 import sys
@@ -36,7 +35,7 @@ import numpy as np
 
 from .bell import BellValue, CorrelationTable, _probability_ch, ch_value
 from .channels import ChannelModel
-from .rates import RateReport, _rate_report
+from .rates import _ARRAY, _FLOAT, RateReport, _Backend, _rate_report
 from .states import ProtocolAngle, _is_real
 
 
@@ -201,9 +200,14 @@ class SessionResult:
         return _json_fields(self)
 
 
-def _squares(angle: ProtocolAngle) -> tuple:
-    """The squared trigonometric values ``_born_stages`` reads: sin^2 theta, cos^2 theta, alpha^2 and beta^2."""
-    return math.sin(angle.theta) ** 2, math.cos(angle.theta) ** 2, angle.alpha ** 2, angle.beta ** 2
+def _squares(theta, fns: _Backend = _FLOAT) -> tuple:
+    """The squared trigonometric values ``_born_stages`` reads: sin^2 theta, cos^2 theta, alpha^2 and beta^2.
+
+    Of a float, or with the ``_ARRAY`` backend of an array, element for element the same bits: alpha and beta
+    are sin and cos of theta/2, and each square is pow(x, 2.0), as ``x ** 2`` of a float is.
+    """
+    sin, cos, power, half = fns.sin, fns.cos, fns.pow, theta / 2.0
+    return power(sin(theta), 2.0), power(cos(theta), 2.0), power(sin(half), 2.0), power(cos(half), 2.0)
 
 
 def _with_sender_rows(w, per_ket, eta_a: float, axis: int) -> np.ndarray:
@@ -262,16 +266,17 @@ def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
     The twin of ``table_from_state(analytic_pipeline_state(angle, channel),
     ch_settings(angle), channel)``; attacked cells sum over the attacker's branch.
     """
-    return CorrelationTable("probability", _born_grids(*_born_stages(*_squares(angle), channel)))
+    return CorrelationTable("probability", _born_grids(*_born_stages(*_squares(angle.theta), channel)))
 
 
-def born_ch(angles, channel: ChannelModel) -> np.ndarray:
-    """S_CH of each of a sequence of settings, bit for bit ``ch_value(born_table(angle, channel)).value``.
+def born_ch(theta: np.ndarray, channel: ChannelModel) -> np.ndarray:
+    """S_CH at each source angle of a 1-D radian array, bit for bit ``ch_value(born_table(angle, channel)).value``.
 
-    One ``_born_stages`` pass over the whole batch; any bad grid raises the
+    The angles must lie in (0, pi/2) and are not checked here. One
+    ``_born_stages`` pass over the whole batch; any bad grid raises the
     ``ValueError`` that ``born_table`` would.
     """
-    squares = np.array([_squares(angle) for angle in angles]).T
+    squares = _squares(theta, _ARRAY)
     # the batch moves to the front, so each table's cells are contiguous and reduce as one table's do
     stages = (None if stage is None else np.ascontiguousarray(np.moveaxis(stage, -1, 0))
               for stage in _born_stages(*squares, channel))
@@ -291,7 +296,7 @@ class _Distributions:
     __slots__ = ("cells", "fold", "cdf", "guide", "bounds")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
-        stage1, stage2 = _born_stages(*_squares(angle), channel)
+        stage1, stage2 = _born_stages(*_squares(angle.theta), channel)
         attacked = stage2 is not None
         self.cells, self.fold = _ROW_CELLS[attacked], _FOLDS[attacked]
         w = np.array([1.0 - test_fraction, test_fraction]) * 0.5

@@ -102,6 +102,14 @@ class TestCurve:
         assert err.strip() != ""
 
     @pytest.mark.parametrize("subcommand", ["curve", "attack-demo"])
+    def test_grid_rounding_to_zero_radians_rejected(self, tmp_path, run_cli, subcommand):
+        # 5e-324 degrees is positive, but 0.0 in radians: rejected before the output is opened
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(subcommand, "--theta-min-deg", "5e-324", "--output", str(out))
+        assert code == 2 and "0 < min < max < 90" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["curve", "attack-demo"])
     @pytest.mark.parametrize("points", ["1000001", "1000000000000"])
     def test_oversized_grid_rejected_before_allocation(self, tmp_path, run_cli, monkeypatch,
                                                        subcommand, points):
@@ -455,7 +463,7 @@ class TestAttackDemo:
     def test_blocks_give_the_values_of_one_block(self, tmp_path, run_cli, monkeypatch):
         argv = ["attack-demo", "--points", "50", "--format", "json"]
         assert run_cli(*argv, "--output", str(tmp_path / "one.json"))[0] == 0
-        monkeypatch.setattr(cli, "_ATTACK_BLOCK", 7)  # eight blocks, the last one short
+        monkeypatch.setattr(cli, "_BLOCK", 7)  # eight blocks, the last one short
         assert run_cli(*argv, "--output", str(tmp_path / "many.json"))[0] == 0
         assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
@@ -618,6 +626,78 @@ def test_manifest_digests_are_those_of_the_files(tmp_path, run_cli, subcommand, 
     written = sorted(str(path) for path in tmp_path.iterdir() if path.name != "out.manifest.json")
     assert sorted(e["path"] for e in manifest["outputs"]) == written
     assert all(e["sha256"] == sha256(Path(e["path"])) for e in manifest["outputs"])
+    # outputs are overwritten in place and cut to length: an old file longer or shorter than the new
+    # content, the manifest included, ends up as the fresh run wrote it
+    fresh = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for old in (lambda data: data + b"x" * 5000, lambda data: data[:len(data) // 2]):
+        for path, data in fresh.items():
+            path.write_bytes(old(data))
+        assert run_cli(subcommand, *argv, "--output", str(out))[0] == 0
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == fresh
+        assert all(path.stat().st_size == len(data) for path, data in fresh.items())
+        assert all(e["sha256"] == sha256(Path(e["path"])) for e in manifest["outputs"])
+
+
+class TestWriter:
+    """The one writer every output goes through, and its block encoders."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            cli._write_text(str(tmp_path / "out"), ["a"])
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_device_is_written_and_never_truncated(self):
+        blocks = ["header\n", "", "rows\n" * 1000]
+        assert cli._write_text(os.devnull, blocks) == hashlib.sha256("".join(blocks).encode()).hexdigest()
+
+    def test_digest_is_of_the_utf8_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli._write_text(str(out), ["\u00b5s", "", "\n"]) == sha256(out)
+        assert out.read_text(encoding="utf-8") == "\u00b5s\n"
+
+    @staticmethod
+    def random_table(rng, n_rows, n_cols):
+        """A header and rows of floats over the whole range, with +-0.0, subnormals, non-finite values and ints."""
+        names = ["theta_deg", "s_ch", "Zeta", "a%s", 'q"uote', "\u00e9t\u00e9", "_", "p", "count", "s"]
+        header = [names[k] for k in rng.permutation(len(names))[:n_cols]]
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                    math.nan, math.inf, -math.inf, 1e16, 1e-7, 0.1, 7, -3, 0, 2 ** 60]
+        rows = []
+        for _ in range(n_rows):
+            row = (rng.standard_normal(n_cols) * 10.0 ** rng.integers(-320, 300, n_cols)).tolist()
+            for k in np.flatnonzero(rng.random(n_cols) < 0.3):
+                row[k] = specials[rng.integers(len(specials))]
+            rows.append(row)
+        return header, rows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_json_blocks_equal_json_dumps(self, seed):
+        rng = np.random.default_rng(seed)
+        for n_rows in (0, 1, 2, 37):
+            header, rows = self.random_table(rng, n_rows, int(rng.integers(1, 11)))
+            want = json.dumps({"rows": [dict(zip(header, map(float, row))) for row in rows]},
+                              indent=2, sort_keys=True) + "\n"
+            cuts = sorted(rng.integers(0, n_rows + 1, 3).tolist())
+            blocks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, n_rows])]  # empty blocks included
+            assert "".join(cli._json_blocks(cli._Rows(header, blocks))) == want
+
+    def test_json_blocks_of_a_document(self):
+        doc = {"b": [1, 2.5, None], "a": {"z": -0.0, "y": "\u00b5"}}
+        assert list(cli._json_blocks(doc)) == [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_csv_lines_are_12_digits_of_each_float(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        header, rows = self.random_table(rng, 40, 5)
+        want = "".join(",".join(line) + "\n" for line in [header, *(["%.12g" % float(v) for v in row] for row in rows)])
+        out = tmp_path / "out.csv"
+        cli._write_csv(str(out), header, [rows[:13], [], rows[13:]])
+        assert out.read_text(encoding="utf-8") == want
 
 
 def test_readme_flag_table_matches_parser():

@@ -408,8 +408,8 @@ class TestBackends:
     def test_scan_columns_give_closed_form_bits(self, strategy, p):
         s, same, diff = rates._depolarized(p, *rates._SCAN_COLUMNS[strategy])
         s_want, q_want, f_want = rates._closed_form(rates._THETA_GRID, p, strategy)
-        q, f = rates._qber_and_fraction(same, diff)
-        for got, want in ((s, s_want), (q, q_want), (f, f_want)):
+        q, total = rates._qber_and_total(same, diff)
+        for got, want in ((s, s_want), (q, q_want), (0.5 * total, f_want)):
             assert bits(got) == bits(want)
 
 

@@ -492,9 +492,8 @@ class TestBatchedBornCh:
         ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.03),
     ], ids=["usd-ideal", "usd-lossy", "usd-depolarized", "clean-lossy-depolarized"])
     def test_bit_identical_to_one_table_at_a_time(self, channel):
-        angles = [ProtocolAngle(theta) for theta in EDGE_THETAS]
-        want = [ch_value(born_table(angle, channel)).value for angle in angles]
-        assert session.born_ch(angles, channel).tolist() == want
+        want = [ch_value(born_table(ProtocolAngle(theta), channel)).value for theta in EDGE_THETAS]
+        assert session.born_ch(np.array(EDGE_THETAS), channel).tolist() == want
 
     @pytest.mark.parametrize("changes", [
         {(0, 0, 2, 2): math.nan},
