@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import ChannelModel, JointState, _probability, lossy_povm
-from .qcore import DensityMatrix, Operator, Povm, born_probabilities
+from .channels import ChannelModel, JointState, _lossy_elements, _probability
+from .qcore import DensityMatrix
 from .states import SettingPairSpec, _is_real
 
 PAIR_KEYS = ("00", "01", "10", "11")
@@ -304,25 +304,18 @@ def table_from_state(joint, settings: SettingPairSpec, channel: ChannelModel) ->
 
     ``joint`` is a JointState (or a plain two-qubit DensityMatrix, treated as
     one with no vacuum branch). Detection efficiencies from ``channel`` are
-    attached to the setting POVMs; the attacker's no-click branch, when
-    present, lands in the receiver-vacuum column with the sender still
-    measuring normally.
+    attached to the setting POVMs as in ``lossy_povm``; the attacker's
+    no-click branch, when present, lands in the receiver-vacuum column with
+    the sender still measuring normally.
     """
     if isinstance(joint, DensityMatrix):
         joint = JointState(qubit=joint)
     elif not isinstance(joint, JointState):
         raise ValueError("joint must be a DensityMatrix or JointState")
-    alice = [lossy_povm(settings.alice[i], channel.eta_a) for i in (0, 1)]
-    bob = [lossy_povm(settings.bob[j], channel.eta_b) for j in (0, 1)]
-    grids = np.zeros((2, 2, 3, 3))
-    for i in (0, 1):
-        for j in (0, 1):
-            product = Povm(
-                [Operator(np.kron(a.matrix, b.matrix)) for a in alice[i].elements for b in bob[j].elements],
-                labels=tuple(f"{la}|{lb}" for la in alice[i].labels for lb in bob[j].labels),
-            )
-            grid = born_probabilities(joint.qubit, product).reshape(3, 3)
-            if joint.receiver_vacuum is not None:
-                grid[:, 2] += born_probabilities(joint.receiver_vacuum, alice[i])
-            grids[i, j] = grid
+    a = _lossy_elements(settings.alice, channel.eta_a)
+    b = _lossy_elements(settings.bob, channel.eta_b)
+    # Tr[(A x B) rho] with rho indexed (sender row, receiver row, sender column, receiver column)
+    grids = np.einsum("ikjl,xaji,yblk->xyab", joint.qubit.matrix.reshape(2, 2, 2, 2), a, b).real
+    if joint.receiver_vacuum is not None:
+        grids[:, :, :, 2] += np.einsum("ij,xaji->xa", joint.receiver_vacuum.matrix, a).real[:, None]
     return CorrelationTable("probability", grids)

@@ -25,7 +25,6 @@ import numpy as np
 from .qcore import (
     ATOL_DERIVED,
     DensityMatrix,
-    Operator,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -122,6 +121,16 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     return apply_channel(rho, _depolarizing_kraus(p, rho.dim))
 
 
+def _lossy_elements(povms, eta: float) -> np.ndarray:
+    """(POVM, outcome, row, column) stack of projective ``povms`` times eta, each ending in ``(1-eta) * identity``."""
+    eta = _probability("efficiency", eta)
+    m = np.array([[op.matrix for op in p.elements] for p in povms])
+    if not np.allclose(m @ m, m, atol=ATOL_DERIVED, rtol=0.0):
+        raise ValueError("lossy_povm requires a projective POVM")
+    vacuum = np.broadcast_to((1.0 - eta) * np.eye(m.shape[-1], dtype=complex), m[:, :1].shape)
+    return np.concatenate([eta * m, vacuum], axis=1)
+
+
 def lossy_povm(m: Povm, eta: float) -> Povm:
     """Attach a detection-efficiency vacuum outcome to a projective POVM.
 
@@ -129,15 +138,7 @@ def lossy_povm(m: Povm, eta: float) -> Povm:
     element labeled "vacuum" is appended, so completeness is preserved
     exactly and each original click probability is eta times the ideal one.
     """
-    eta = _probability("efficiency", eta)
-    for op in m.elements:
-        mm = op.matrix
-        if not np.allclose(mm @ mm, mm, atol=ATOL_DERIVED, rtol=0.0):
-            raise ValueError("lossy_povm requires a projective POVM")
-    dim = m.dim
-    elements = [Operator(eta * op.matrix) for op in m.elements]
-    elements.append(Operator((1.0 - eta) * np.eye(dim, dtype=complex)))
-    return Povm(elements, labels=m.labels + ("vacuum",))
+    return Povm(list(_lossy_elements([m], eta)[0]), labels=m.labels + ("vacuum",))
 
 
 def usd_povm(angle: ProtocolAngle) -> Povm:

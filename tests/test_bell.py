@@ -17,9 +17,11 @@ from entb92.bell import (
     chsh_value,
     table_from_state,
 )
-from entb92.channels import ChannelModel, analytic_pipeline_state
+from entb92 import qcore
+from entb92.channels import ChannelModel, JointState, analytic_pipeline_state, lossy_povm
+from entb92.qcore import DensityMatrix, Povm
 from entb92.rates import normalized_rate
-from entb92.states import ProtocolAngle, ch_settings, entangled_state
+from entb92.states import ProtocolAngle, SettingPairSpec, ch_settings, entangled_state
 
 RNG = np.random.default_rng(550)
 
@@ -354,6 +356,76 @@ class TestTableFromState:
         for th in (0.5, math.pi / 3, 1.2):
             got = ch_value(ideal_table(th, attacker="usd")).value
             assert got == pytest.approx(oracle.attacked_ch(th), abs=1e-11)
+
+
+def random_settings(rng):
+    """Four random complex projective settings, as raw projector pairs and as a SettingPairSpec."""
+    projs = [oracle._rand_qubit_proj(rng) for _ in range(4)]
+    povms = [Povm(pair, labels=("target", "orthogonal")) for pair in projs]
+    return projs, SettingPairSpec(alice=tuple(povms[:2]), bob=tuple(povms[2:]), bob_theta=0.0)
+
+
+class TestComplexInputs:
+    # every state and setting of the protocol is real, so only complex inputs tell
+    # Tr[(A x B) rho] from Tr[(A^T x B^T) rho]
+    @pytest.mark.parametrize("vacuum", [False, True], ids=["no-vacuum", "vacuum"])
+    def test_cells_are_born_traces(self, vacuum):
+        rng = np.random.default_rng(8812 + vacuum)
+        for _ in range(30):
+            weight = rng.uniform() if vacuum else 1.0
+            rho, sigma = weight * oracle._rand_state(rng), (1.0 - weight) * oracle._rand_state(rng, 2)
+            joint = JointState(qubit=DensityMatrix(rho, subnormalized=vacuum),
+                               receiver_vacuum=DensityMatrix(sigma, subnormalized=True) if vacuum else None)
+            projs, settings = random_settings(rng)
+            channel = ChannelModel(eta_a=rng.uniform(), eta_b=rng.uniform())
+            grids = table_from_state(joint, settings, channel).grids
+            for i, j in np.ndindex(2, 2):
+                alice = oracle.lossy_elements(projs[i], channel.eta_a)
+                bob = oracle.lossy_elements(projs[2 + j], channel.eta_b)
+                want = np.array([[np.trace(np.kron(a, b) @ rho).real for b in bob] for a in alice])
+                if vacuum:
+                    want[:, 2] += [np.trace(a @ sigma).real for a in alice]
+                np.testing.assert_allclose(grids[i, j], want, rtol=0.0, atol=1e-13)
+
+
+class TestTableBoundary:
+    def test_builds_no_density_matrices_or_povms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("density matrix or POVM built inside table_from_state")
+
+        ang = ProtocolAngle(1.0)
+        cases = []
+        for channel in (ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.02),
+                        ChannelModel(eta_a=0.7, depol_p=0.01, attacker="usd")):
+            state, settings = analytic_pipeline_state(ang, channel), ch_settings(ang)
+            cases.append((state, settings, channel, table_from_state(state, settings, channel).grids))
+        monkeypatch.setattr(qcore.DensityMatrix, "__init__", refuse)
+        monkeypatch.setattr(qcore.Povm, "__init__", refuse)
+        with pytest.raises(AssertionError):  # the guard is live
+            qcore.DensityMatrix(np.eye(2) / 2)
+        for state, settings, channel, grids in cases:
+            np.testing.assert_array_equal(table_from_state(state, settings, channel).grids, grids)
+
+    def test_inputs_checked_at_the_boundary(self):
+        ang = ProtocolAngle(1.0)
+        channel = ChannelModel(eta_a=0.9)
+        state, settings = analytic_pipeline_state(ang, channel), ch_settings(ang)
+        half = Povm([np.eye(2) / 2, np.eye(2) / 2], labels=("target", "orthogonal"))
+        for unsharp in (SettingPairSpec(alice=(settings.alice[0], half), bob=settings.bob, bob_theta=1.0),
+                        SettingPairSpec(alice=settings.alice, bob=(half, settings.bob[1]), bob_theta=1.0)):
+            with pytest.raises(ValueError, match="projective"):
+                table_from_state(state, unsharp, channel)
+        for joint in (state.qubit.matrix, None, "rho"):
+            with pytest.raises(ValueError, match="DensityMatrix or JointState"):
+                table_from_state(joint, settings, channel)
+
+    def test_lossy_povm_elements_are_exact(self):
+        for povm in (*ch_settings(ProtocolAngle(0.7)).bob, random_settings(np.random.default_rng(8814))[1].alice[0]):
+            for eta in (0.0, 0.31, 0.9, 1.0):
+                elements = [e.matrix for e in lossy_povm(povm, eta).elements]
+                want = oracle.lossy_elements([e.matrix for e in povm.elements], eta)
+                assert len(elements) == len(want)
+                assert all(np.array_equal(got, w) for got, w in zip(elements, want))
 
 
 class TestBellValue:

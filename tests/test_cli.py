@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from entb92 import cli, session
+from entb92 import cli, qcore, session
 from entb92.cli import build_parser
 from entb92.rates import optimal_theta, pm_reference_rate
 from entb92.session import MAX_ROUNDS
@@ -636,6 +636,22 @@ def test_manifest_digests_are_those_of_the_files(tmp_path, run_cli, subcommand, 
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == fresh
         assert all(path.stat().st_size == len(data) for path, data in fresh.items())
         assert all(e["sha256"] == sha256(Path(e["path"])) for e in manifest["outputs"])
+
+
+def test_no_subcommand_builds_density_matrices(tmp_path, monkeypatch):
+    # the density-matrix pipeline is the reference; every subcommand computes from closed forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("density matrix or POVM built by a subcommand")
+
+    monkeypatch.setattr(qcore.DensityMatrix, "__init__", refuse)
+    monkeypatch.setattr(qcore.Povm, "__init__", refuse)
+    with pytest.raises(AssertionError):  # the guard is live
+        qcore.DensityMatrix(np.eye(2) / 2)
+    session._shared_distributions.cache_clear()
+    for argv in (["curve"], ["attack-demo", "--format", "json"], ["rate-curve"], ["thresholds"],
+                 ["simulate", "--theta-deg", "60", "--rounds", "3000", "--attack", "usd", "--depol", "0.01",
+                  "--table-csv", str(tmp_path / "table.csv")]):
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0, argv
 
 
 class TestWriter:
