@@ -28,7 +28,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ class RunManifest:
         self.outputs.append({"path": str(path), "sha256": sha256})
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def write(self, primary_output: str) -> str:
         path = f"{primary_output}.manifest.json"
@@ -68,11 +68,11 @@ class RunManifest:
 def _write_text(path: str, blocks: Iterable[str]) -> str:
     """Write the UTF-8 of each text block in turn over ``path`` and return the SHA-256 of all of it.
 
-    Every output goes through here, and nothing is read back. An existing file is overwritten in place and then
-    cut to the written length, which on ext4 measured about a fifth of the cost of truncating it to zero first
-    (likely because ext4 starts the writeback of a file rewritten after such a truncate when it is closed). A
-    FIFO or a device such as /dev/null takes the bytes and is never truncated. Nothing is fsynced; a run killed
-    mid-write leaves the new bytes in front of the old file's tail, and a digest that matches no manifest.
+    Every output goes through here, and nothing is read back. An existing file is overwritten in place and then,
+    if it was longer, cut to the written length, which on ext4 measured about a fifth of the cost of truncating it
+    to zero first (likely because ext4 starts the writeback of a file rewritten after such a truncate when it is
+    closed). A FIFO or a device such as /dev/null takes the bytes and is never truncated. Nothing is fsynced; a run
+    killed mid-write leaves the new bytes in front of the old file's tail, and a digest that matches no manifest.
     """
     digest, size = hashlib.sha256(), 0
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
@@ -82,7 +82,7 @@ def _write_text(path: str, blocks: Iterable[str]) -> str:
             fh.write(data)
             size += len(data)
         fh.flush()
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        if stat.S_ISREG((found := os.fstat(fh.fileno())).st_mode) and found.st_size > size:
             os.ftruncate(fh.fileno(), size)
     return digest.hexdigest()
 

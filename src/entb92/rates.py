@@ -36,6 +36,7 @@ _CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 _SLACK = 1e-9
 _LN2 = math.log(2.0)
+_SLOPE_MARGIN = 5e-12  # optimal_theta's tau in units of (f(a) - f(b)) / c, where the slope's error stays below 1.4e-14
 _check_depol = partial(_probability, "depolarization probability")
 
 STRATEGIES = ("fixed_settings", "ch_max")
@@ -269,10 +270,12 @@ for _fixed in (_THETA_GRID, *(row for rows in _SCAN_COLUMNS.values() for row in 
 
 
 def _gain_array(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """gain_from_ch evaluated elementwise, with h(0) = h(1) = 0."""
-    inside = (q > 0.0) & (q < 1.0)
-    qi = np.where(inside, q, 0.5)
-    entropy = np.where(inside, -qi * np.log2(qi) - (1.0 - qi) * np.log2(1.0 - qi), 0.0)
+    """gain_from_ch evaluated elementwise, with h(0) = h(1) = 0: the masks are built only when q reaches 0 or 1."""
+    inside = None if 0.0 < q.min() and q.max() < 1.0 else (q > 0.0) & (q < 1.0)
+    qi = q if inside is None else np.where(inside, q, 0.5)
+    entropy = -qi * np.log2(qi) - (1.0 - qi) * np.log2(1.0 - qi)
+    if inside is not None:
+        entropy = np.where(inside, entropy, 0.0)
     return 1.0 - np.log2(1.0 + np.sqrt(np.maximum(1.0 - 4.0 * s - 4.0 * s * s, 0.0))) - entropy
 
 
@@ -299,11 +302,13 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
     return slope
 
 
-def _bisect(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """Bisect a sign change of f, with f(a) > 0 >= f(b), until [a, b] holds two adjacent floats."""
+def _bisect(f: Callable[[float], float], a: float, b: float,
+            lo: float = -math.inf, hi: float = math.inf) -> Tuple[float, float]:
+    """Bisect a sign change of f, with f(a) > 0 >= f(b), until [a, b] holds two adjacent floats; a midpoint
+    <= lo counts as positive and one >= hi as non-positive without a call of f, so the midpoints stay the same."""
     mid = 0.5 * (a + b)
     while a < mid < b:
-        if f(mid) > 0.0:
+        if mid <= lo or (mid < hi and f(mid) > 0.0):
             a = mid
         else:
             b = mid
@@ -311,28 +316,63 @@ def _bisect(f: Callable[[float], float], a: float, b: float) -> Tuple[float, flo
     return a, b
 
 
+def _sign_window(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tau: float) -> list:
+    """The window (lo, hi) of [a, b] outside which the bisection of f from (a, b) need not call f.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)) from f(a) > 0 >= f(b) estimates the root x; it
+    leaves x = a unless f(a) > tau. Each side steps out from x by (1.5 tau + |f(x)|) over the chord slope, 8 times
+    as far after each miss, until f there is past +-tau, or keeps its end of [a, b] once the step passes it.
+    Skipped midpoints keep their sign if f is within E of the true slope g on [a, b], tau >= 2E, and g rises to
+    at most one peak and then falls: f(a), f(lo) > tau give g > E on all of [a, lo], so f > 0 there, and
+    f(hi) < -tau puts hi past the peak, so g < -E and f < 0 on [hi, b]. The bisection walks the same midpoints.
+    """
+    x, fx, xa, xb, ya, yb, side = a, fa, a, b, fa, fb, 0
+    for _ in range(10):
+        t = xa + ya * (xb - xa) / (ya - yb)
+        if abs(fx) <= tau or not xa < t < xb:
+            break
+        x, fx = t, f(t)
+        if fx > 0.0:  # Illinois: the weight of an end kept twice in a row is halved
+            xa, ya, yb, side = x, fx, 0.5 * yb if side > 0 else yb, 1
+        else:
+            xb, yb, ya, side = x, fx, 0.5 * ya if side < 0 else ya, -1
+    window = [a, b]
+    for n, sign in enumerate((1.0, -1.0)):
+        step = (1.5 * tau + abs(fx)) * (b - a) / (fa - fb)
+        while a < x - sign * step < b:
+            if sign * f(x - sign * step) > tau:
+                window[n] = x - sign * step
+                break
+            step *= 8.0
+    return window
+
+
 def optimal_theta(p: float, strategy: str = "fixed_settings"):
     """Source angle maximizing the secure gain at depolarization p.
 
-    A 200-point scan of (0, pi/2), one array step from the p-free columns fixed at
-    import, picks the best grid angle; its two neighbours bracket the maximum, where the
-    analytic d(gain)/d(theta) changes sign from positive to negative. That
-    root is bisected until the bracket holds two adjacent floats; theta* is
-    the last float at which the computed slope is still positive. Returns
-    ``(theta_star, report)``; the report may carry a nonpositive rate when p
-    is beyond the tolerable noise.
+    A 200-point scan of (0, pi/2), one array step from the p-free columns fixed at import, picks the best grid
+    angle; its two neighbours bracket the maximum, where the analytic d(gain)/d(theta) changes sign from positive
+    to negative. That root is bisected until the bracket holds two adjacent floats; theta* is the last float at
+    which the computed slope is still positive. The slope is called only inside ``_sign_window``'s window, with
+    tau = _SLOPE_MARGIN (f(a) - f(b)) / c and c the least |1 + 2s| (1 - 4s - 4s^2) around the grid maximum: the
+    slope's rounding error grows as 1/c where d nears 0 or s the quantum bound, and stayed below 1.4e-14
+    (f(a) - f(b)) / c against a 160-bit evaluation at every bracket sampled, p in [1e-9, 1]. Returns
+    ``(theta_star, report)``; the report may carry a nonpositive rate when p is beyond the tolerable noise.
     """
     _check_strategy(strategy)
     p = _check_depol(p)
     s, same, diff = _depolarized(p, *_SCAN_COLUMNS[strategy])
     i = int(_gain_array(s, _qber_and_total(same, diff)[0]).argmax())
     a, b = _THETA_GRID.item(max(i - 1, 0)), _THETA_GRID.item(min(i + 1, len(_THETA_GRID) - 1))
-    if _gain_slope(a, p, strategy) <= 0.0:
+    f = lambda theta: _gain_slope(theta, p, strategy)
+    if (fa := f(a)) <= 0.0:
         theta_star = a  # gain falls from the low end of the scan range
-    elif _gain_slope(b, p, strategy) > 0.0:
+    elif (fb := f(b)) > 0.0:
         theta_star = b  # gain rises to the high end of the scan range
     else:
-        theta_star = _bisect(lambda theta: _gain_slope(theta, p, strategy), a, b)[0]
+        c = min(abs((1.0 + 2.0 * x) * (1.0 - 4.0 * x - 4.0 * x * x)) for x in s[max(i - 1, 0):i + 2].tolist())
+        tau = _SLOPE_MARGIN * (fa - fb) / c if c > 0.0 else math.inf
+        theta_star = _bisect(f, a, b, *_sign_window(f, a, b, fa, fb, tau))[0]
     return theta_star, normalized_rate(theta_star, p, strategy)
 
 

@@ -280,16 +280,17 @@ def bisect_adjacent(f, a, b):
 THETA_GRID = np.linspace(1e-4, math.pi / 2 - 1e-4, 200)
 
 
-def np_optimal_theta(p, strategy):
-    """theta* from the grid bracket of the 200-point scan, bisected on np_gain_slope."""
+def np_optimal_theta(p, strategy, slope=np_gain_slope):
+    """theta* from the grid bracket of the 200-point scan, bisected on ``slope`` (np_gain_slope by default) with a
+    call at every midpoint."""
     s, q, _ = np_closed_form(THETA_GRID, p, strategy)
     i = int(np.argmax(np_gain_array(s, q)))
     a, b = map(float, THETA_GRID[[max(i - 1, 0), min(i + 1, len(THETA_GRID) - 1)]])
-    if np_gain_slope(a, p, strategy) <= 0.0:
+    if slope(a, p, strategy) <= 0.0:
         return a
-    if np_gain_slope(b, p, strategy) > 0.0:
+    if slope(b, p, strategy) > 0.0:
         return b
-    return bisect_adjacent(lambda theta: np_gain_slope(theta, p, strategy), a, b)[0]
+    return bisect_adjacent(lambda theta: slope(theta, p, strategy), a, b)[0]
 
 
 # ---------------------------------------------------------------------------

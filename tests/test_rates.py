@@ -345,14 +345,18 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def golden_p_values():
+    """The default rate-curve grid, then both noise thresholds with the float past each."""
+    grid = [row["p"] for row in json.loads((FIXTURES / "rate_curve_golden.json").read_text())["rows"]]
+    noise = json.loads((FIXTURES / "thresholds_golden.json").read_text())["max_depolarization"]
+    return [*grid, *(x for entry in noise.values() for x in entry["bracket"])]
+
+
 def oracle_p_values():
     """p = 0, the default rate-curve grid, both noise thresholds with the float past each, random p up to 0.71
     and beyond it, where the float the bisection lands on is most sensitive to how the slope is computed."""
     rng = np.random.default_rng(2107)
-    grid = [row["p"] for row in json.loads((FIXTURES / "rate_curve_golden.json").read_text())["rows"]]
-    noise = json.loads((FIXTURES / "thresholds_golden.json").read_text())["max_depolarization"]
-    edges = [x for entry in noise.values() for x in entry["bracket"]]
-    return [0.0, *grid, *edges, *rng.uniform(0.0, 0.05, 60), *rng.uniform(0.05, 0.71, 30),
+    return [0.0, *golden_p_values(), *rng.uniform(0.0, 0.05, 60), *rng.uniform(0.05, 0.71, 30),
             *rng.uniform(0.71, 1.0, 40), 1.0]
 
 
@@ -373,6 +377,109 @@ class TestSolverOracle:
         for theta in np.random.default_rng(3301).uniform(0.0, math.pi / 2, 200).tolist():
             for p in (0.0, 0.02, 0.8):
                 assert rates._gain_slope(theta, p, strategy).hex() == oracle.np_gain_slope(theta, p, strategy).hex()
+
+
+def lattice_p_values():
+    """1 048 p: dense on [0, 0.05], the golden grid and noise brackets, p from 1e-12 up geometrically (where tuned
+    settings near the quantum bound make the slope's rounding error largest), random p in (0.71, 1], p on both sides
+    of 0.75 (where d = 1 - 4p/3 shrinks every slope), 5e-324 and 1.0."""
+    rng = np.random.default_rng(2411)
+    near = 0.75 + np.geomspace(1e-9, 1e-2, 20)
+    return [*np.linspace(0.0, 0.05, 701).tolist(), *golden_p_values(), *np.geomspace(1e-12, 1e-3, 60).tolist(),
+            *rng.uniform(0.71, 1.0, 160).tolist(), *near.tolist(), *(1.5 - near).tolist(), 5e-324, 1.0]
+
+
+@pytest.fixture(scope="module")
+def lattice_solves():
+    """(p, theta*, report, calls of rates._gain_slope) of optimal_theta at every lattice p, per strategy."""
+    slope, calls = rates._gain_slope, [0]
+
+    def counted(theta, p, strategy):
+        calls[0] += 1
+        return slope(theta, p, strategy)
+
+    solves = {strategy: [] for strategy in STRATEGIES}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rates, "_gain_slope", counted)
+        for strategy, rows in solves.items():
+            for p in lattice_p_values():
+                calls[0] = 0
+                rows.append((p, *optimal_theta(p, strategy), calls[0]))
+    return solves
+
+
+class TestSignWindow:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_theta_star_is_the_plain_bisection_float(self, lattice_solves, strategy):
+        assert len(lattice_solves[strategy]) >= 1000
+        for p, theta, report, _ in lattice_solves[strategy]:
+            want = oracle.np_optimal_theta(p, strategy, slope=rates._gain_slope)
+            assert theta.hex() == want.hex(), (p, strategy)
+            assert bits(vars(report).values()) == bits(vars(normalized_rate(want, p, strategy)).values()), p
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_slope_evaluations_per_theta_star(self, lattice_solves, strategy):
+        # the bisection from the grid bracket alone takes 48
+        rows = lattice_solves[strategy]
+        assert np.mean([n for p, _, _, n in rows if p <= 0.05]) <= 24
+        assert max(n for *_, n in rows) <= 50
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_computed_sign_is_settled_outside_the_window(self, monkeypatch, strategy):
+        # where the slope's rounding error is largest: tuned settings at tiny p, and d near 0
+        near = 0.75 + np.geomspace(1e-7, 1e-3, 12)
+        windows, find = [], rates._sign_window
+
+        def recorded(f, a, b, fa, fb, tau):
+            windows.append((f, a, b, *find(f, a, b, fa, fb, tau)))
+            return windows[-1][-2:]
+
+        monkeypatch.setattr(rates, "_sign_window", recorded)
+        for p in [*np.geomspace(1e-9, 1e-4, 12), *near, *(1.5 - near), 0.013, 0.3]:
+            optimal_theta(float(p), strategy)
+        assert len(windows) >= 12
+        for f, a, b, lo, hi in windows:
+            assert a <= lo < hi <= b
+            below = [x for k in range(200) if (x := lo - k * math.ulp(lo)) > a]
+            above = [x for k in range(200) if (x := hi + k * math.ulp(hi)) < b]
+            assert all(f(x) > 0.0 for x in below) and all(f(x) < 0.0 for x in above), (a, lo, hi)
+
+    def test_sign_window_ends(self):
+        # rises from f(0) = 0.001 to a peak, then falls through its root just past pi
+        f, root = (lambda x: 0.001 + math.sin(x)), math.pi + math.asin(0.001)
+        fa, fb = f(0.0), f(4.0)
+        lo, hi = rates._sign_window(f, 0.0, 4.0, fa, fb, 1e-6)
+        assert 0.0 < lo < root < hi < 4.0 and f(lo) > 1e-6 and f(hi) < -1e-6 and hi - lo < 1e-4
+        # f(0) is within tau, so the estimate stays at 0 and nothing below the peak is skipped
+        assert rates._sign_window(f, 0.0, 4.0, fa, fb, 0.01) == [0.0, 4.0]
+        assert rates._sign_window(f, 0.0, 4.0, fa, fb, math.inf) == [0.0, 4.0]
+
+    X0 = 1.123456789
+    FLIPS = (1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0)  # f on the floats from X0 - 3 ulp to X0 + 3 ulp
+
+    def flipping(self, calls):
+        """A slope that is positive below X0 - 3 ulp and negative above X0 + 3 ulp, with FLIPS between."""
+        def f(x):
+            calls.append(x)
+            k = round((x - self.X0) / math.ulp(self.X0))
+            return 1.0 if k < -3 else -1.0 if k > 3 else self.FLIPS[k + 3]
+        return f
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.25), (0.5, 2.0), (X0 - 1e-9, X0 + 3e-12)])
+    def test_bisect_calls_f_only_inside_its_window(self, a, b):
+        plain_calls = []
+        plain = oracle.bisect_adjacent(self.flipping(plain_calls), a, b)
+        assert rates._bisect(self.flipping([]), a, b) == plain
+        calls = []
+        assert rates._bisect(self.flipping(calls), a, b, a, b) == plain
+        assert calls == plain_calls
+        u = math.ulp(self.X0)
+        for lo_ulps, hi_ulps in ((4, 4), (5, 900), (2 ** 20, 7), (10 ** 9, 10 ** 9)):
+            lo, hi = self.X0 - lo_ulps * u, self.X0 + hi_ulps * u
+            calls = []
+            assert rates._bisect(self.flipping(calls), a, b, lo, hi) == plain, (lo_ulps, hi_ulps)
+            assert all(lo < x < hi for x in calls)
+            assert len(calls) <= len(plain_calls) - (lo > a) - (hi < b)
 
 
 class TestBackends:
