@@ -20,6 +20,7 @@ vacuum mass; it is exact whenever the table is non-signaling.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,15 +262,38 @@ def _check_theta_range(theta: float) -> float:
     return float(theta)
 
 
+# The elementwise functions of the closed forms: numpy's for arrays, and for single angles libm's through
+# ``math``, where a numpy scalar call costs several times the arithmetic. The two must round alike, element for
+# element. Squares are pow(x, 2.0) on both sides (``np.float_power`` calls libm's pow; x * x differs from it in
+# the last bit on about 0.1 % of inputs), and libm's atan differs from numpy's arctan in the last bit on about
+# 0.2 % of inputs, so the float backend calls numpy's.
+_Backend = namedtuple("_Backend", "sin cos sqrt arctan pow")
+_ARRAY = _Backend(np.sin, np.cos, np.sqrt, np.arctan, np.float_power)
+_FLOAT = _Backend(math.sin, math.cos, math.sqrt, lambda x: float(np.arctan(x)), math.pow)
+
+
+def _setting(theta, strategy: str, fns: _Backend = _ARRAY):
+    """(phi, dphi/dtheta, clean S_CH, dS_CH/dtheta) of a strategy at source angle theta.
+
+    The receiver's setting angle phi is theta for ``fixed_settings``, where
+    S_CH = cos(theta)(1 - cos(theta))/2, and atan(sin theta) for ``ch_max``,
+    where S_CH = (sqrt(sin^2 theta + 1) - 1)/2. This is the one statement of
+    both curves.
+    """
+    sin_t, cos_t = fns.sin(theta), fns.cos(theta)
+    if strategy == "fixed_settings":
+        return theta, 1.0, 0.5 * cos_t * (1.0 - cos_t), 0.5 * sin_t * (2.0 * cos_t - 1.0)
+    root = fns.sqrt(sin_t * sin_t + 1.0)
+    return fns.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
+
+
 def analytic_ch(theta: float) -> float:
     """Closed-form S_CH of the source state with the standard settings.
 
     Equals cos(theta)(1 - cos(theta))/2: positive on the open interval,
     zero at both endpoints, maximal (1/8) at theta = pi/3.
     """
-    theta = _check_theta_range(theta)
-    c = math.cos(theta)
-    return 0.5 * c * (1.0 - c)
+    return _setting(_check_theta_range(theta), "fixed_settings", _FLOAT)[2]
 
 
 def analytic_ch_max(theta: float):
@@ -280,10 +304,8 @@ def analytic_ch_max(theta: float):
     tan(bob_angle) = sin(theta). Reaches the quantum maximum (sqrt(2)-1)/2 at
     theta = pi/2.
     """
-    theta = _check_theta_range(theta)
-    s = math.sin(theta)
-    value = 0.5 * (math.sqrt(s * s + 1.0) - 1.0)
-    return value, math.atan(s)
+    bob_angle, _, value, _ = _setting(_check_theta_range(theta), "ch_max", _FLOAT)
+    return value, bob_angle
 
 
 def ch_with_loss(theta: float, eta_a: float, eta_b: float) -> float:

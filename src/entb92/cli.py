@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
-from .bell import analytic_ch, analytic_ch_max
+from .bell import _setting
 from .channels import ChannelModel
 from .rates import efficiency_threshold, max_depolarization, optimal_theta, pm_reference_rate
 from .session import SessionConfig, born_ch, run_session
@@ -199,13 +199,10 @@ def _grid_blocks(grid: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _curve_rows(degrees: np.ndarray) -> List[list]:
-    """curve's rows at ``degrees``, one angle at a time."""
-    rows = []
-    for deg in degrees.tolist():
-        theta = math.radians(deg)
-        s_max, bob_angle = analytic_ch_max(theta)
-        rows.append([deg, analytic_ch(theta), s_max, math.degrees(bob_angle)])
-    return rows
+    """curve's rows at ``degrees``: both clean curves of ``bell._setting``, and the tuned receiver angle."""
+    theta = np.radians(degrees)
+    bob_angle, _, s_max, _ = _setting(theta, "ch_max")
+    return np.column_stack([degrees, _setting(theta, "fixed_settings")[2], s_max, np.degrees(bob_angle)]).tolist()
 
 
 def cmd_curve(args) -> int:
@@ -337,10 +334,9 @@ _USD = ChannelModel(attacker="usd")
 
 
 def _attack_rows(degrees: np.ndarray) -> List[list]:
-    """attack-demo's rows at ``degrees``: the clean closed form of ``analytic_ch`` and the attacked ``born_ch``."""
+    """attack-demo's rows at ``degrees``: the clean curve of ``bell._setting`` and the attacked ``born_ch``."""
     theta = np.radians(degrees)
-    c = np.cos(theta)
-    return np.column_stack([degrees, 0.5 * c * (1.0 - c), born_ch(theta, _USD)]).tolist()
+    return np.column_stack([degrees, _setting(theta, "fixed_settings")[2], born_ch(theta, _USD)]).tolist()
 
 
 def cmd_attack_demo(args) -> int:

@@ -21,14 +21,13 @@ value.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bell import CH_QUANTUM_MAX
+from .bell import _ARRAY, _FLOAT, CH_QUANTUM_MAX, _Backend, _setting
 from .channels import ChannelModel, _probability
 from .states import ProtocolAngle
 
@@ -163,16 +162,6 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
 
-# The elementwise functions of the closed forms: numpy's for the arrays of the scan, and for single angles libm's
-# through ``math``, where a numpy scalar call costs several times the arithmetic. The two must round alike,
-# element for element. Squares are pow(x, 2.0) on both sides (``np.float_power`` calls libm's pow; x * x differs
-# from it in the last bit on about 0.1 % of inputs), and ``math.atan`` differs from numpy's arctan in the last
-# bit on about 0.2 % of inputs, so the float backend calls numpy's.
-_Backend = namedtuple("_Backend", "sin cos sqrt arctan pow")
-_ARRAY = _Backend(np.sin, np.cos, np.sqrt, np.arctan, np.float_power)
-_FLOAT = _Backend(math.sin, math.cos, math.sqrt, lambda x: float(np.arctan(x)), math.pow)
-
-
 def _depolarized(p: float, s_clean, same, diff):
     """Depolarization p (not validated) of a clean Bell value and of the clean key-round weights.
 
@@ -199,24 +188,15 @@ def _qber_and_total(same, diff):
     return same / total, total
 
 
-def _setting(theta, strategy: str, fns: _Backend = _ARRAY):
-    """(phi, dphi/dtheta, clean S_CH, dS_CH/dtheta) of a strategy at source angle theta.
-
-    The receiver's setting angle phi is theta for ``fixed_settings`` and
-    atan(sin theta) for ``ch_max``; the clean Bell value is the analytic_ch /
-    analytic_ch_max curve.
-    """
-    sin_t, cos_t = fns.sin(theta), fns.cos(theta)
-    if strategy == "fixed_settings":
-        return theta, 1.0, 0.5 * cos_t * (1.0 - cos_t), 0.5 * sin_t * (2.0 * cos_t - 1.0)
-    root = fns.sqrt(sin_t * sin_t + 1.0)
-    return fns.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
+def _scan_columns(theta, strategy: str, fns: _Backend = _ARRAY):
+    """The p-free columns (clean S_CH, clean same, clean diff) at source angle theta; floats with ``_FLOAT``."""
+    phi, _, s_clean, _ = _setting(theta, strategy, fns)
+    return (s_clean, *_key_round_weights(theta, phi, fns))
 
 
 def _closed_form(theta, p: float, strategy: str, fns: _Backend = _ARRAY):
-    """(S_CH, QBER, conclusive fraction) at source angle theta: an array, or a float with ``_FLOAT``."""
-    phi, _, s_clean, _ = _setting(theta, strategy, fns)
-    s, same, diff = _depolarized(p, s_clean, *_key_round_weights(theta, phi, fns))
+    """(S_CH, QBER, conclusive fraction) at source angle theta: the clean columns, depolarized by p."""
+    s, same, diff = _depolarized(p, *_scan_columns(theta, strategy, fns))
     q, total = _qber_and_total(same, diff)
     return s, q, 0.5 * total
 
@@ -257,12 +237,6 @@ def normalized_rate(theta, p: float, strategy: str = "fixed_settings") -> RateRe
     return _rate_report(*_closed_form(_as_angle(theta).theta, _check_depol(p), strategy, _FLOAT))
 
 
-def _scan_columns(theta: np.ndarray, strategy: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The p-free rows of the scan, (clean S_CH, clean same, clean diff), one column per angle."""
-    phi, _, s_clean, _ = _setting(theta, strategy)
-    return (s_clean, *_key_round_weights(theta, phi))
-
-
 _THETA_GRID = np.linspace(1e-4, math.pi / 2 - 1e-4, 200)
 _SCAN_COLUMNS = {strategy: _scan_columns(_THETA_GRID, strategy) for strategy in STRATEGIES}
 for _fixed in (_THETA_GRID, *(row for rows in _SCAN_COLUMNS.values() for row in rows)):
@@ -284,21 +258,21 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
 
     gain = 1 - log2(1 + r) - h(Q) with r = sqrt(1 - 4s - 4s^2), so
     d gain = 2 s' (1 + 2s) / (ln 2 r (1 + r)) - log2((1 - Q)/Q) Q'.
-    The entropy term is dropped where Q = 0: that happens only with fixed
-    settings on a noiseless channel, where Q vanishes identically.
+    The entropy term is dropped where Q = 0 (fixed settings on a noiseless
+    channel, where Q vanishes identically) and where (1 - Q)/Q overflows
+    (fixed settings at subnormal p, where the term's true size is below 1e-300).
     """
     d = 1.0 - 4.0 * p / 3.0
     phi, dphi, s_clean, ds_clean = _setting(theta, strategy, _FLOAT)
-    same, diff = _key_round_weights(theta, phi, _FLOAT)
-    s, same, diff = _depolarized(p, s_clean, same, diff)
+    s, same, diff = _depolarized(p, s_clean, *_key_round_weights(theta, phi, _FLOAT))
     q, total = _qber_and_total(same, diff)
     r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
     slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (_LN2 * r * (1.0 + r))
-    if q > 0.0:
+    if q > 0.0 and (odds := (1.0 - q) / q) < math.inf:
         d_same = 0.5 * d * math.sin(phi - theta) * (dphi - 1.0)
         d_diff = 0.5 * d * math.sin(phi + theta) * (dphi + 1.0)
         dq = (d_same * diff - same * d_diff) / total ** 2
-        slope -= math.log2((1.0 - q) / q) * dq
+        slope -= math.log2(odds) * dq
     return slope
 
 

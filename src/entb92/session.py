@@ -33,9 +33,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bell import BellValue, CorrelationTable, _probability_ch, ch_value
+from .bell import _ARRAY, _FLOAT, BellValue, CorrelationTable, _Backend, _probability_ch, ch_value
 from .channels import ChannelModel
-from .rates import _ARRAY, _FLOAT, RateReport, _Backend, _rate_report
+from .rates import RateReport, _rate_report
 from .states import ProtocolAngle, _is_real
 
 

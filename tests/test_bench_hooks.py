@@ -1,12 +1,16 @@
 """The benchmark tracer's hook table against the package it traces."""
 
 import ast
-import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def hook_table():
@@ -29,3 +33,15 @@ def test_every_hook_resolves():
         except AttributeError:
             missing.append(f"{name}: {module_name}.{attr}")
     assert not missing
+
+
+@pytest.mark.skipif(not WORKLOADS.exists(), reason="benchmark sources not in this checkout")
+def test_workloads_import(monkeypatch):
+    # bench/run.py imports workloads.py as the top-level module ``workloads``; a package name it imports that has
+    # moved would otherwise fail only a benchmark run
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert {w["name"] for w in declared} <= set(workloads.WORKLOADS)

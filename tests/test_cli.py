@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import oracle
-from entb92 import cli, qcore, session
+from entb92 import cli, qcore, rates, session
+from entb92.bell import analytic_ch, analytic_ch_max
 from entb92.cli import build_parser
-from entb92.rates import optimal_theta, pm_reference_rate
+from entb92.rates import STRATEGIES, optimal_theta, pm_reference_rate
 from entb92.session import MAX_ROUNDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -59,6 +60,27 @@ class TestCurve:
         assert header == ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"]
         assert len(rows) == 89
         assert rows[0][0] == 1.0 and rows[-1][0] == 89.0
+
+    def test_rows_are_the_analytic_functions_bit_for_bit(self, tmp_path, run_cli):
+        # one statement of each curve and one arctan: the array rows equal the validated scalar functions, and
+        # those equal the curves and the receiver angle that the rate solver's two strategies optimise
+        grid = ["--points", "20000", "--theta-min-deg", "0.001", "--theta-max-deg", "89.999"]
+        want = []
+        for deg in np.linspace(0.001, 89.999, 20000).tolist():
+            theta = math.radians(deg)
+            s_max, bob_angle = analytic_ch_max(theta)
+            want.append([deg, analytic_ch(theta), s_max, math.degrees(bob_angle)])
+            fixed, tuned = (rates._setting(theta, strategy, rates._FLOAT) for strategy in STRATEGIES)
+            assert (want[-1][1], s_max, bob_angle) == (fixed[2], tuned[2], tuned[0]), deg
+        code, _, _ = run_cli("curve", *grid, "--format", "json", "--output", str(tmp_path / "c.json"))
+        assert code == 0
+        rows = json.loads((tmp_path / "c.json").read_text())["rows"]
+        got = [[row[k] for k in ("theta_deg", "s_ch", "s_ch_max", "bob_angle_deg")] for row in rows]
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+        code, _, _ = run_cli("curve", *grid, "--output", str(tmp_path / "c.csv"))
+        assert code == 0
+        lines = (tmp_path / "c.csv").read_text().splitlines()[1:]
+        assert lines == [",".join("%.12g" % v for v in row) for row in want]
 
     def test_reference_row(self, curve_outputs):
         _, rows = read_csv(curve_outputs)
@@ -119,7 +141,7 @@ class TestCurve:
             raise AssertionError(f"{subcommand} built its grid before validating --points")
 
         monkeypatch.setattr(cli.np, "linspace", no_grid)
-        monkeypatch.setattr(cli, "analytic_ch", no_grid)
+        monkeypatch.setattr(cli, "_setting", no_grid)
         out = tmp_path / "grid.csv"
         code, _, err = run_cli(subcommand, "--points", points, "--output", str(out))
         assert code == 2

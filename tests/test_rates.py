@@ -332,6 +332,13 @@ class TestExactThetaStar:
         assert rates._gain_slope(math.nextafter(theta, math.inf), p, strategy) <= 0.0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 2e-308])
+    def test_subnormal_noise_keeps_the_noiseless_theta_star(self, strategy, p):
+        # with fixed settings (1 - Q)/Q overflows at subnormal p; the entropy term it scales is below 1e-300
+        assert rates._gain_slope(math.pi / 4, p, strategy) < math.inf
+        assert optimal_theta(p, strategy)[0].hex() == optimal_theta(0.0, strategy)[0].hex()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_slope_matches_finite_difference(self, strategy):
         h = 1e-6
         for p in (0.0, 0.01, 0.03, 0.2):
