@@ -42,12 +42,13 @@ _CHSH_SIGNS = np.array([[1.0, -1.0, -1.0],
                         [-1.0, 1.0, 1.0],
                         [-1.0, 1.0, 1.0]])
 
-# joint-probability terms of S_CH, indexed (i, j, sender outcome, receiver outcome)
-_CH_JOINT = np.zeros((2, 2, 3, 3))
-_CH_JOINT[:, :, 0, 0] = [[-1.0, 1.0], [1.0, 1.0]]
-
 # a probability table weighs both pairs of a setting equally in its marginals
 _HALVES = np.full(2, 0.5)
+
+# The twelve cells where S_CH has a nonzero coefficient, as flat indices into a table's 36 (9 (2i + j) + 3 row + col):
+# (0, 0) of pair 00, column 0 of pair 01, row 0 of pair 10, and row 0 and column 0 of pair 11; then the pair of each
+_CH_CELLS = (0, 9, 12, 15, 18, 19, 20, 27, 28, 29, 30, 33)
+_CH_PAIR = (0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,22 @@ def _checked_probabilities(arr: np.ndarray) -> np.ndarray:
     return g
 
 
+def _pair_totals(table: CorrelationTable) -> list:
+    """A count table's pair totals [n00, n01, n10, n11] as ints; a pair without rounds raises."""
+    totals = table.totals.ravel().tolist()
+    if 0 in totals:
+        i, j = divmod(totals.index(0), 2)
+        raise ValueError(f"setting pair ({i},{j}) has no rounds")
+    return totals
+
+
 def _probabilities(table: CorrelationTable):
     """Per-pair probabilities, and the weights of pairs (1, j) and (i, 1) in the pooled marginals."""
     g = table.grids
     if table.mode == "probability":
         return g, _HALVES, _HALVES
+    _pair_totals(table)
     n = table.totals
-    if np.any(n == 0):
-        i, j = np.argwhere(n == 0)[0]
-        raise ValueError(f"setting pair ({i},{j}) has no rounds")
     return g / n[:, :, None, None], n[1] / n[1].sum(), n[:, 1] / n[:, 1].sum()
 
 
@@ -195,26 +203,37 @@ def _pair_sums(terms: np.ndarray) -> np.ndarray:
     return terms.reshape(terms.shape[:-2] + (9,)).sum(axis=-1)
 
 
-def _ch_coefficients(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
-    """Weight of each cell in S_CH: the joint terms, less the pooled marginals P(a1) and P(b1)."""
-    coeff = _CH_JOINT.copy()
-    coeff[1, :, 0, :] -= w_a[:, None]
-    coeff[:, 1, :, 0] -= w_b[:, None]
-    return coeff
+def _ch_cell_coefficients(w_a0, w_a1, w_b0, w_b1) -> tuple:
+    """The coefficients of S_CH on ``_CH_CELLS``: the joint terms, less the pooled marginals P(a1) and P(b1).
+
+    P(a1) weighs row 0 of pair (1, j) by w_aj and P(b1) column 0 of pair (i, 1) by w_bi; cell (0, 0) of
+    pair 11 takes the sender's weight first.
+    """
+    return (-1.0, 1.0 - w_b0, -w_b0, -w_b0, 1.0 - w_a0, -w_a0, -w_a0, 1.0 - w_a1 - w_b1, -w_a1, -w_a1, -w_b1, -w_b1)
 
 
-_CH_PROBABILITY = _ch_coefficients(_HALVES, _HALVES)
+# a probability table's coefficients, as floats and as a column against a (12, n) stack of cells
+_CH_HALVES = _ch_cell_coefficients(0.5, 0.5, 0.5, 0.5)
+_CH_HALVES_COLUMN = np.array(_CH_HALVES)[:, None]
 
 
-def _ch_sum(mean: np.ndarray):
-    """S_CH from its (..., 2, 2) pair terms, added left to right from 0; this order fixes the rounding."""
-    # one table's terms add fastest as floats; a stack's as one (n,) row per pair
-    return sum(mean.ravel().tolist() if mean.ndim == 2 else mean.reshape(-1, 4).T)
+def _ch_pairs(t):
+    """The four pair terms (00, 01, 10, 11) of S_CH from its twelve terms ``t`` on ``_CH_CELLS``, floats or arrays.
+
+    Each is bit for bit numpy's sum over the pair's nine cells, which adds them as
+    0 + ((((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))) + c8): a zero cell's + 0.0 leaves a nonzero
+    partial sum as it is, and in each pair one of them turns a final -0.0 into 0.0.
+    """
+    return (t[0] + 0.0,
+            t[1] + t[2] + t[3] + 0.0,
+            t[4] + t[5] + t[6] + 0.0,
+            t[7] + t[8] + (t[9] + t[10]) + t[11] + 0.0)
 
 
 def _probability_ch(grids: np.ndarray) -> np.ndarray:
-    """S_CH of each table of a stack (..., 2, 2, 3, 3) of probability grids, after the checks of a probability table."""
-    return _ch_sum(_pair_sums(_CH_PROBABILITY * _checked_probabilities(grids)))
+    """S_CH of each table of a stack (n, 2, 2, 3, 3) of probability grids, after the checks of a probability table."""
+    cells = _checked_probabilities(grids).reshape(-1, 36).T.take(_CH_CELLS, axis=0)
+    return sum(_ch_pairs(_CH_HALVES_COLUMN * cells))
 
 
 def _standard_error(table: CorrelationTable, variances: np.ndarray) -> float:
@@ -229,13 +248,24 @@ def ch_value(table: CorrelationTable) -> BellValue:
 
     Single-party marginals pool the two setting pairs that measured the
     relevant setting (count-weighted in count mode). The standard error is a
-    multinomial delta-method estimate; analytic tables get 0.
+    multinomial delta-method estimate; analytic tables get 0. Both come from
+    the twelve cells where a coefficient is nonzero, as Python floats, with
+    each pair's terms added in numpy's order for the whole grid and the pairs
+    added left to right from 0.
     """
-    p, w_a, w_b = _probabilities(table)
-    coeff = _ch_coefficients(w_a, w_b)
-    mean = _pair_sums(coeff * p)
-    second = _pair_sums(coeff ** 2 * p)
-    return BellValue(float(_ch_sum(mean)), _standard_error(table, second - mean * mean))
+    cells = table.grids.ravel().tolist()
+    if table.mode == "probability":
+        return BellValue(sum(_ch_pairs([k * cells[c] for k, c in zip(_CH_HALVES, _CH_CELLS)])))
+    _, n01, n10, n11 = totals = _pair_totals(table)
+    # every count and sum of counts becomes a float before it divides, as in numpy's int64 division
+    n_a, n_b = float(n10 + n11), float(n01 + n11)
+    coefficients = _ch_cell_coefficients(n10 / n_a, n11 / n_a, n01 / n_b, n11 / n_b)
+    n = [float(total) for total in totals]
+    p = [cells[c] / n[pair] for c, pair in zip(_CH_CELLS, _CH_PAIR)]
+    mean = _ch_pairs([k * x for k, x in zip(coefficients, p)])
+    second = _ch_pairs([k * k * x for k, x in zip(coefficients, p)])
+    variances = [s - m * m for s, m in zip(second, mean)]
+    return BellValue(sum(mean), math.sqrt(sum([(v if v > 0.0 else 0.0) / t for v, t in zip(variances, n)])))
 
 
 def chsh_value(table: CorrelationTable) -> BellValue:

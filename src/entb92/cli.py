@@ -182,7 +182,8 @@ _MAX_GRID_POINTS = 1_000_000
 _BLOCK = 2 ** 8
 
 
-def _theta_grid_degrees(args) -> np.ndarray:
+def _theta_grid_degrees(args) -> Iterator[np.ndarray]:
+    """The checked degree grid of ``--points`` angles, in blocks of ``_BLOCK``; see ``_grid_blocks``."""
     if args.points < 2:
         raise ValueError("need at least 2 grid points")
     if args.points > _MAX_GRID_POINTS:
@@ -190,12 +191,25 @@ def _theta_grid_degrees(args) -> np.ndarray:
     # the rows are computed in radians, where a subnormal number of degrees rounds to 0
     if not (0.0 < math.radians(args.theta_min_deg) and args.theta_min_deg < args.theta_max_deg < 90.0):
         raise ValueError("degree grid must satisfy 0 < min < max < 90")
-    return np.linspace(args.theta_min_deg, args.theta_max_deg, args.points)
+    return _grid_blocks(args.theta_min_deg, args.theta_max_deg, args.points)
 
 
-def _grid_blocks(grid: np.ndarray) -> Iterator[np.ndarray]:
-    """``grid`` in consecutive slices of ``_BLOCK`` values."""
-    return (grid[start:start + _BLOCK] for start in range(0, len(grid), _BLOCK))
+def _grid_blocks(start: float, stop: float, num: int) -> Iterator[np.ndarray]:
+    """``np.linspace(start, stop, num)`` bit for bit, in consecutive blocks of ``_BLOCK`` values.
+
+    Value i is i * step + start with step = (stop - start) / (num - 1), as
+    numpy forms it, and the last value is ``stop``; where the step underflows
+    to 0, numpy divides by num - 1 first and then multiplies by the difference.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    for first in range(0, num, _BLOCK):
+        i = np.arange(first, min(first + _BLOCK, num), dtype=float)
+        block = (i / div * delta if step == 0.0 else i * step) + start
+        if first + len(block) == num:
+            block[-1] = stop
+        yield block
 
 
 def _curve_rows(degrees: np.ndarray) -> List[list]:
@@ -207,7 +221,7 @@ def _curve_rows(degrees: np.ndarray) -> List[list]:
 
 def cmd_curve(args) -> int:
     """Bell value and best-achievable Bell value per source angle."""
-    blocks = map(_curve_rows, _grid_blocks(_theta_grid_degrees(args)))
+    blocks = map(_curve_rows, _theta_grid_degrees(args))
     return _emit_table(args, ["theta_deg", "s_ch", "s_ch_max", "bob_angle_deg"], blocks)
 
 
@@ -341,7 +355,7 @@ def _attack_rows(degrees: np.ndarray) -> List[list]:
 
 def cmd_attack_demo(args) -> int:
     """Clean versus attacked Bell value across the angle range."""
-    blocks = map(_attack_rows, _grid_blocks(_theta_grid_degrees(args)))
+    blocks = map(_attack_rows, _theta_grid_degrees(args))
     return _emit_table(args, ["theta_deg", "s_ch_clean", "s_ch_attacked"], blocks)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 import os
 import sys
 import threading
@@ -60,10 +61,11 @@ _CELLS = tuple(
      (row, 1 - j) if i == 0 and row < 2 and col == 0 else None)
     for i in (0, 1) for j in (0, 1) for row in range(3) for col in range(3))
 _KEY_BIT = dict(_CELLS)
-# (36, 4) 0/1 weight of each cell in n_detected (both sides click), n_detected_z (and the sender measures Z),
-# n_con (a key round) and n_err (a key round whose bits differ)
-_COUNTED = np.array([(clicked, clicked and basis == "Z", bit is not None, bit is not None and bit[0] != bit[1])
-                     for (basis, a, _, b), bit in _CELLS for clicked in [a != "vacuum" and b != "vacuum"]], np.int64)
+# the cells counted in n_detected (both sides click), n_detected_z (and the sender measures Z), n_con (a key round)
+# and n_err (a key round whose bits differ), each as a getter of those cells from a table's 36 counts
+_COUNTED = tuple(operator.itemgetter(*np.flatnonzero(column).tolist()) for column in np.array(
+    [(clicked, clicked and basis == "Z", bit is not None, bit is not None and bit[0] != bit[1])
+     for (basis, a, _, b), bit in _CELLS for clicked in [a != "vacuum" and b != "vacuum"]]).T)
 # The cells of a session's sampling row, by attacked flag: each is a grid cell and the attacker's branch e, None
 # without an attacker. An attacked row keeps the 84 of the 144 (cell, e) that can be non-zero: on branches 2 and 3 the
 # attacker suppresses the photon, so the receiver sees vacuum, and a Z round never takes branch e < 2 on sender row e.
@@ -354,7 +356,7 @@ def _words(stream, start: int, n: int, out: np.ndarray) -> np.ndarray:
 
 
 def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """The row cell of each variate: the guide's count, stepped on in split buckets.
+    """The row cell of each variate: the guide's count, or in a split bucket the search of ``_guide_table``.
 
     Per-round arrays stay uint8/uint16: round-length intp temporaries let
     malloc trim the heap and fault it back in on every chunk.
@@ -363,10 +365,7 @@ def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
     cell = dist.guide.take(key)
     slow = np.flatnonzero(cell >= _MIXED)
     if slow.size:
-        found, x = cell[slow] ^ _MIXED, variates[slow]
-        while (step := x >= dist.bounds.take(found)).any():
-            found += step
-        cell[slow] = found
+        cell[slow] = dist.bounds.searchsorted(variates[slow], side="right")
     return cell
 
 
@@ -391,8 +390,10 @@ def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> Round
 
 
 def _result_from_table(table: CorrelationTable, config: SessionConfig) -> SessionResult:
-    n_detected, n_detected_z, n_con, n_err = (table.grids.reshape(36) @ _COUNTED).tolist()
-    insufficient = n_con == 0 or not table.totals.all()
+    cells = table.grids.ravel().tolist()
+    n_detected, n_detected_z, n_con, n_err = (sum(counted(cells)) for counted in _COUNTED)
+    # a pair holds rounds when any of its nine counts is nonzero
+    insufficient = n_con == 0 or not all(map(any, (cells[0:9], cells[9:18], cells[18:27], cells[27:36])))
     estimate = qber = raw = extrapolated = None
     if not insufficient:
         estimate = ch_value(table)

@@ -97,6 +97,33 @@ def ch_from_grids(grids):
     return p(1, 1) + p(0, 1) + p(1, 0) - p(0, 0) - pa1 - pb1
 
 
+def np_ch_value(grids, mode):
+    """(S_CH, standard error) of a (2, 2, 3, 3) table by the dense contraction over all 36 cells.
+
+    The bit reference for the package's estimator: a count table's int64
+    cells over its int64 pair totals, the marginals P(a1) and P(b1) pooled
+    with count weights (halves for a probability table), each pair's nine
+    terms summed by numpy and the four pair terms added left to right from 0.
+    The error is the multinomial delta method, 0 for a probability table.
+    """
+    g = np.asarray(grids)
+    if mode == "probability":
+        n, p, w_a, w_b = None, g, np.full(2, 0.5), np.full(2, 0.5)
+    else:
+        n = g.sum(axis=(2, 3))
+        p, w_a, w_b = g / n[:, :, None, None], n[1] / n[1].sum(), n[:, 1] / n[:, 1].sum()
+    coeff = np.zeros((2, 2, 3, 3))
+    coeff[:, :, 0, 0] = [[-1.0, 1.0], [1.0, 1.0]]
+    coeff[1, :, 0, :] -= w_a[:, None]
+    coeff[:, 1, :, 0] -= w_b[:, None]
+    mean = (coeff * p).reshape(2, 2, 9).sum(axis=-1)
+    second = (coeff ** 2 * p).reshape(2, 2, 9).sum(axis=-1)
+    value = sum(mean.ravel().tolist())
+    if n is None:
+        return value, 0.0
+    return value, math.sqrt(sum((np.maximum(second - mean * mean, 0.0) / n).ravel().tolist()))
+
+
 def ch_born(theta, bob_theta=None, eta_a=1.0, eta_b=1.0, rho=None):
     """Clauser-Horne value computed end to end from density matrices."""
     if bob_theta is None:

@@ -17,10 +17,11 @@ from entb92.bell import (
     chsh_value,
     table_from_state,
 )
-from entb92 import qcore
+from entb92 import bell, qcore
 from entb92.channels import ChannelModel, JointState, analytic_pipeline_state, lossy_povm
 from entb92.qcore import DensityMatrix, Povm
 from entb92.rates import normalized_rate
+from entb92.session import SessionConfig, run_session
 from entb92.states import ProtocolAngle, SettingPairSpec, ch_settings, entangled_state
 
 RNG = np.random.default_rng(550)
@@ -192,6 +193,71 @@ class TestChValue:
             mode="count", grids=np.round(probs.grids * 400000).astype(np.int64))
         ratio = ch_value(small).standard_error / ch_value(big).standard_error
         assert ratio == pytest.approx(10.0, rel=0.05)
+
+
+class TestChValueBits:
+    """``ch_value`` of count tables against the dense contraction of ``oracle.np_ch_value``, bit for bit."""
+
+    @staticmethod
+    def assert_oracle_bits(grids):
+        table = CorrelationTable("count", grids)
+        got = ch_value(table)
+        want = oracle.np_ch_value(table.grids, "count")
+        assert (repr(got.value), repr(got.standard_error)) == tuple(map(repr, want))
+        return got
+
+    def test_pair_terms_are_numpy_pair_sums(self):
+        # the twelve nonzero terms at -0.0, 0.0 or random values, every other cell 0.0: zero signs included
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            terms = rng.choice([-0.0, 0.0, *rng.standard_normal(4)], size=12)
+            dense = np.zeros(36)
+            dense[list(bell._CH_CELLS)] = terms
+            want = dense.reshape(4, 9).sum(axis=-1).tolist()
+            assert list(map(repr, bell._ch_pairs(terms.tolist()))) == list(map(repr, want))
+
+    def test_random_sessions(self):
+        rng = np.random.default_rng(26)
+        for k in range(60):
+            channel = ChannelModel(eta_a=rng.uniform(0.7, 1.0), eta_b=rng.uniform(0.7, 1.0),
+                                   depol_p=rng.uniform(0.0, 0.05), attacker="usd" if k % 2 else "none")
+            config = SessionConfig(angle=ProtocolAngle(rng.uniform(0.2, 1.4)), n_rounds=int(rng.integers(200, 20001)),
+                                   test_fraction=rng.uniform(0.1, 0.9), channel=channel, seed=k)
+            self.assert_oracle_bits(run_session(config).table.grids)
+
+    def test_tables_with_zero_cells(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            grids = rng.integers(0, 50, (2, 2, 3, 3))
+            grids[rng.random((2, 2, 3, 3)) < rng.uniform(0.3, 0.9)] = 0
+            grids[:, :, 1, 1] += 1
+            self.assert_oracle_bits(grids)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_pair_with_one_nonzero_cell(self, pair):
+        rng = np.random.default_rng(28)
+        for row in range(3):
+            for col in range(3):
+                grids = rng.integers(1, 1000, (2, 2, 3, 3))
+                grids[pair] = 0
+                grids[pair + (row, col)] = 7
+                self.assert_oracle_bits(grids)
+
+    @pytest.mark.parametrize("cell", [(2, 2), (0, 0)], ids=["all-vacuum", "all-target"])
+    def test_exact_zero_keeps_its_sign(self, cell):
+        # every round in one cell of each pair: S_CH and its error are exactly 0, as +0.0
+        grids = np.zeros((2, 2, 3, 3), dtype=np.int64)
+        grids[(slice(None), slice(None)) + cell] = [[3, 5], [8, 13]]
+        got = self.assert_oracle_bits(grids)
+        assert (repr(got.value), repr(got.standard_error)) == ("0.0", "0.0")
+
+    def test_counts_near_the_float_limit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            grids = 2 ** 53 - 1 - rng.integers(0, 2 ** 20, (2, 2, 3, 3))
+            grids[rng.random((2, 2, 3, 3)) < 0.4] = rng.integers(0, 3)
+            grids[:, :, 0, 0] = np.maximum(grids[:, :, 0, 0], 1)
+            self.assert_oracle_bits(grids)
 
 
 class TestLocalBound:

@@ -140,13 +140,28 @@ class TestCurve:
         def no_grid(*args, **kwargs):
             raise AssertionError(f"{subcommand} built its grid before validating --points")
 
-        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        monkeypatch.setattr(cli, "_grid_blocks", no_grid)
         monkeypatch.setattr(cli, "_setting", no_grid)
         out = tmp_path / "grid.csv"
         code, _, err = run_cli(subcommand, "--points", points, "--output", str(out))
         assert code == 2
         assert "at most 1000000 points" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("start, stop, points, step_kind", [
+        (1.0, 89.0, 89, "normal"),
+        (0.001, 89.999, 257, "normal"),
+        (1.0, 89.0, 1_000_000, "normal"),
+        (1e-310, 2e-310, 89, "subnormal"),
+        (1e-320, 2e-320, 1_000_000, "zero"),
+    ], ids=["default", "257", "million", "subnormal-step", "zero-step"])
+    def test_grid_blocks_are_linspace_bit_for_bit(self, start, stop, points, step_kind):
+        step = (stop - start) / (points - 1)
+        assert step_kind == ("zero" if step == 0.0 else "subnormal" if step < sys.float_info.min else "normal")
+        args = argparse.Namespace(theta_min_deg=start, theta_max_deg=stop, points=points)
+        blocks = list(cli._theta_grid_degrees(args))
+        assert max(map(len, blocks)) == min(cli._BLOCK, points)
+        assert np.concatenate(blocks).tobytes() == np.linspace(start, stop, points).tobytes()
 
 
 class TestRateCurve:

@@ -517,6 +517,52 @@ class TestBatchedBornCh:
         assert _probability_ch(good).tolist() == [ch_value(CorrelationTable("probability", g)).value for g in good]
 
 
+class TestSessionEstimator:
+    @pytest.mark.parametrize("channel", [
+        ChannelModel(),
+        ChannelModel(attacker="usd"),
+        ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.03, attacker="usd"),
+        ChannelModel(eta_a=0.9, eta_b=0.8, depol_p=0.03),
+    ], ids=["clean", "usd", "usd-lossy-depolarized", "clean-lossy-depolarized"])
+    def test_born_table_value_is_the_dense_contraction(self, channel):
+        for theta in EDGE_THETAS:
+            table = born_table(ProtocolAngle(theta), channel)
+            got = ch_value(table)
+            want = oracle.np_ch_value(table.grids, "probability")
+            assert (repr(got.value), repr(got.standard_error)) == tuple(map(repr, want)), theta
+
+    @pytest.mark.parametrize("cell", range(9))
+    def test_a_pair_without_rounds_is_insufficient(self, cell):
+        # each pair holds rounds only in one cell, and pair 00 a key round besides; then one pair is emptied
+        for empty in (None, 0, 1, 2, 3):
+            grids = np.zeros((4, 9), dtype=np.int64)
+            grids[:, cell] = 2
+            grids[0, 0] += 1
+            if empty is not None:
+                grids[empty] = 0
+            result = session._result_from_table(CorrelationTable("count", grids.reshape(2, 2, 3, 3)), cfg(n_rounds=100))
+            assert result.insufficient_statistics == (empty is not None) == (result.s_ch_estimate is None)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_estimate_per_session(self, monkeypatch, workers):
+        # the benchmark times session._result_from_table and bell.ch_value as the session's estimator
+        calls = {}
+
+        def counted(name):
+            target = getattr(session, name)
+
+            def count(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return target(*args, **kwargs)
+            monkeypatch.setattr(session, name, count)
+
+        counted("_result_from_table")
+        counted("ch_value")
+        result = run_session(cfg(n_rounds=2 * session._CHUNK + 5), workers=workers)
+        assert not result.insufficient_statistics
+        assert calls == {"_result_from_table": 1, "ch_value": 1}
+
+
 class TestSift:
     def test_clean_run_has_no_errors(self):
         config = cfg(n_rounds=20000)
