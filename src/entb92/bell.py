@@ -50,6 +50,16 @@ _HALVES = np.full(2, 0.5)
 _CH_CELLS = (0, 9, 12, 15, 18, 19, 20, 27, 28, 29, 30, 33)
 _CH_PAIR = (0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3)
 
+# 0/1 rows over a table's 36 flat cells (i, j, row, col): the four pair sums, then the outcome-0 marginals with the
+# partner's setting 0 and, in the same order, with setting 1: the sender's on settings 0 and 1 (row 0 of pair (k, j)),
+# then the receiver's (column 0 of pair (i, k))
+_CHECK_ROWS = np.array(
+    [[2 * i + j == k for i, j, _, _ in np.ndindex(2, 2, 3, 3)] for k in range(4)]
+    + [[(i, j, row) == (k, partner, 0) if sender else (j, i, col) == (k, partner, 0)
+        for i, j, row, col in np.ndindex(2, 2, 3, 3)]
+       for partner in (0, 1) for sender in (True, False) for k in (0, 1)], dtype=float)
+_CHECK_ROWS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class BellValue:
@@ -157,23 +167,24 @@ class CorrelationTable:
 
 
 def _checked_probabilities(arr: np.ndarray) -> np.ndarray:
-    """A stack (..., 2, 2, 3, 3) of probability grids, checked, with its cells clipped at 0.
+    """Probability grids (2, 2, 3, 3, ...), any batch axes last, checked, with their cells clipped at 0.
 
-    Every cell must be finite and at least -1e-9, each pair's nine cells must
-    sum to 1, and each party's marginal on a setting must not depend on the
-    partner's setting, both within 1e-9.
+    Every cell must be finite and at least -1e-9; then, on the clipped cells,
+    each pair's nine cells must sum to 1, and each party's outcome-0 marginal
+    on a setting must not depend on the partner's setting, both within 1e-9.
+    The sums and marginals of every table are one product of ``_CHECK_ROWS``
+    with its 36 flat cells, a single table as one column.
     """
     lo, hi = arr.min(), arr.max()  # a nan spreads to both, and an infinity reaches one
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("grid entries must be finite")
     if lo < -_MARGINAL_ATOL:
         raise ValueError("probabilities must be nonnegative")
-    if np.abs(_pair_sums(arr) - 1.0).max() > _MARGINAL_ATOL:
+    g = np.maximum(arr, 0.0, order="C")  # contiguous whatever the layout of ``arr``, so each reshape is a view
+    checks = _CHECK_ROWS @ g.reshape(36, -1)
+    if np.abs(checks[:4] - 1.0).max() > _MARGINAL_ATOL:
         raise ValueError("each probability grid must sum to 1 within 1e-9")
-    g = np.maximum(arr, 0.0)
-    # (..., k, partner's setting): the sender's outcome-0 marginal on setting k, then the receiver's
-    marginals = np.concatenate([g[..., 0, :].sum(axis=-1), g[..., :, 0].sum(axis=-1).swapaxes(-1, -2)], axis=-2)
-    worst = np.abs(marginals[..., 0] - marginals[..., 1]).max()
+    worst = np.abs(checks[4:8] - checks[8:]).max()
     if worst > _MARGINAL_ATOL:
         raise ValueError(f"setting marginals disagree across pairs by {worst:.3e}")
     return g
@@ -231,8 +242,8 @@ def _ch_pairs(t):
 
 
 def _probability_ch(grids: np.ndarray) -> np.ndarray:
-    """S_CH of each table of a stack (n, 2, 2, 3, 3) of probability grids, after the checks of a probability table."""
-    cells = _checked_probabilities(grids).reshape(-1, 36).T.take(_CH_CELLS, axis=0)
+    """S_CH of each table of a stack (2, 2, 3, 3, n) of probability grids, after the checks of a probability table."""
+    cells = _checked_probabilities(grids).reshape(36, -1).take(_CH_CELLS, axis=0)
     return sum(_ch_pairs(_CH_HALVES_COLUMN * cells))
 
 

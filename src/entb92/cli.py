@@ -122,10 +122,10 @@ def _write_json(path: str, obj) -> str:
 
 
 def _write_csv(path: str, header: List[str], blocks: Iterable[list]) -> str:
-    """A header line, then one line per row of each block: every value as ``%.12g`` of its float."""
+    """A header line, then one line per row of each block, one ``%`` a block: every value as ``%.12g`` of its float."""
     line = ",".join(["%.12g"] * len(header)) + "\n"
-    return _write_text(path, itertools.chain([",".join(header) + "\n"],
-                                             ("".join(line % tuple(row) for row in block) for block in blocks)))
+    return _write_text(path, itertools.chain([",".join(header) + "\n"], (
+        (line * len(block)) % tuple(itertools.chain.from_iterable(block)) for block in blocks)))
 
 
 def _check_writable(*paths: str) -> None:

@@ -214,13 +214,15 @@ def qber_and_conclusive(theta, channel: ChannelModel):
     return _closed_form(_as_angle(theta).theta, channel.depol_p, "fixed_settings", _FLOAT)[1:]
 
 
-def _rate_report(s_ch: float, qber: float, conclusive_fraction: float, n_con: Optional[int] = None) -> RateReport:
+def _rate_report(s_ch: float, qber: float, conclusive_fraction: float, n_con: Optional[int] = None, *,
+                 gain: Optional[float] = None) -> RateReport:
     """The one constructor of a ``RateReport``, from an S_CH value, an error rate and a conclusive fraction.
 
-    The gain reads S_CH clipped to the gain domain, which finite-sample estimates can leave; ``rate`` is
-    ``key_rate(n_con, gain)``, or the normalized rate (per detected pair) when ``n_con`` is None.
+    The gain reads S_CH clipped to the gain domain, which finite-sample estimates can leave; a caller that holds
+    a report of the same S_CH and error rate passes its ``gain`` instead. ``rate`` is ``key_rate(n_con, gain)``,
+    or the normalized rate (per detected pair) when ``n_con`` is None.
     """
-    gain = gain_from_ch(min(max(s_ch, _CH_DOMAIN_LO), CH_QUANTUM_MAX), qber)
+    gain = gain_from_ch(min(max(s_ch, _CH_DOMAIN_LO), CH_QUANTUM_MAX), qber) if gain is None else gain
     r_norm = conclusive_fraction * gain
     return RateReport(s_ch=s_ch, s_chsh=4.0 * s_ch + 2.0, qber=qber, conclusive_fraction=conclusive_fraction,
                       gain=gain, rate=r_norm if n_con is None else key_rate(n_con, gain), normalized_rate=r_norm)

@@ -258,8 +258,11 @@ def _born_stages(s2, c2, a2, b2, channel: ChannelModel):
 
 
 def _born_grids(stage1: np.ndarray, stage2: Optional[np.ndarray]) -> np.ndarray:
-    """The (..., i, j, row, col) probability grids of stages with any batch axis first; attacked cells sum over e."""
-    return stage1 if stage2 is None else np.einsum("...ire,...ejc->...ijrc", stage1, stage2)
+    """The (i, j, row, col, ...) probability grids of stages with any batch axes last; attacked cells sum over e.
+
+    einsum adds the branches as ((p0 + p1) + p2) + p3 whatever the layout; a BLAS product need not.
+    """
+    return stage1 if stage2 is None else np.einsum("ire...,ejc...->ijrc...", stage1, stage2)
 
 
 def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
@@ -275,14 +278,10 @@ def born_ch(theta: np.ndarray, channel: ChannelModel) -> np.ndarray:
     """S_CH at each source angle of a 1-D radian array, bit for bit ``ch_value(born_table(angle, channel)).value``.
 
     The angles must lie in (0, pi/2) and are not checked here. One
-    ``_born_stages`` pass over the whole batch; any bad grid raises the
-    ``ValueError`` that ``born_table`` would.
+    ``_born_stages`` pass over the whole batch, which stays the last axis
+    throughout; any bad grid raises the ``ValueError`` that ``born_table`` would.
     """
-    squares = _squares(theta, _ARRAY)
-    # the batch moves to the front, so each table's cells are contiguous and reduce as one table's do
-    stages = (None if stage is None else np.ascontiguousarray(np.moveaxis(stage, -1, 0))
-              for stage in _born_stages(*squares, channel))
-    return _probability_ch(_born_grids(*stages))
+    return _probability_ch(_born_grids(*_born_stages(*_squares(theta, _ARRAY), channel)))
 
 
 class _Distributions:
@@ -398,8 +397,8 @@ def _result_from_table(table: CorrelationTable, config: SessionConfig) -> Sessio
     if not insufficient:
         estimate = ch_value(table)
         qber = n_err / n_con
-        raw, extrapolated = (_rate_report(estimate.value, qber, f_con, n_con)
-                             for f_con in (n_con / n_detected, n_con / n_detected_z))
+        raw = _rate_report(estimate.value, qber, n_con / n_detected, n_con)
+        extrapolated = _rate_report(estimate.value, qber, n_con / n_detected_z, n_con, gain=raw.gain)
     return SessionResult(config=config, table=table, s_ch_estimate=estimate, qber=qber, n_con=n_con,
                          n_err=n_err, n_detected=n_detected, rate_report=raw, rate_report_extrapolated=extrapolated,
                          aborted=insufficient or bool(estimate.value <= config.abort_threshold),

@@ -497,6 +497,20 @@ class TestAttackDemo:
         assert run_cli("attack-demo", "--points", "500", "--format", "json", "--output", str(out))[0] == 0
         assert out.read_bytes() == (FIXTURES / "attack_demo_500_golden.json").read_bytes()
 
+    @pytest.mark.parametrize("argv, blocks", [([], [89]), (["--points", "600"], [256, 256, 88])])
+    def test_one_born_contraction_per_block(self, tmp_path, run_cli, monkeypatch, argv, blocks):
+        # born_ch keeps the angles on the last axis: one batch of grids per 256-row block, none per angle
+        shapes = []
+        born_grids = session._born_grids
+
+        def counted(*stages):
+            grids = born_grids(*stages)
+            shapes.append(grids.shape)
+            return grids
+        monkeypatch.setattr(session, "_born_grids", counted)
+        assert run_cli("attack-demo", *argv, "--output", str(tmp_path / "demo.csv"))[0] == 0
+        assert shapes == [(2, 2, 3, 3, n) for n in blocks]
+
     def test_blocks_give_the_values_of_one_block(self, tmp_path, run_cli, monkeypatch):
         argv = ["attack-demo", "--points", "50", "--format", "json"]
         assert run_cli(*argv, "--output", str(tmp_path / "one.json"))[0] == 0

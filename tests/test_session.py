@@ -14,7 +14,7 @@ import pytest
 
 import entb92
 import oracle
-from entb92 import channels, cli, qcore, session
+from entb92 import channels, cli, qcore, rates, session
 from entb92.bell import CorrelationTable, _probability_ch, ch_value, table_from_state
 from entb92.channels import (
     ChannelModel,
@@ -511,10 +511,57 @@ class TestBatchedBornCh:
         with pytest.raises(ValueError) as single:
             CorrelationTable("probability", stack[1])
         with pytest.raises(ValueError) as batched:
-            _probability_ch(stack)
+            _probability_ch(np.moveaxis(stack, 0, -1))
         assert str(batched.value) == str(single.value)
         good = stack[[0, 2]]
-        assert _probability_ch(good).tolist() == [ch_value(CorrelationTable("probability", g)).value for g in good]
+        assert _probability_ch(np.moveaxis(good, 0, -1)).tolist() == [
+            ch_value(CorrelationTable("probability", g)).value for g in good]
+
+
+def check_message(check, grids):
+    """The message of the ValueError that ``check(grids)`` raises, None when it raises none."""
+    try:
+        check(grids)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckRows:
+    """Each row of ``bell._CHECK_ROWS``, through every cell of one valid USD table with no cell below 1e-3."""
+
+    # the closed-form cells of born_table, before any check
+    GOOD = session._born_grids(*session._born_stages(*session._squares(0.8), ChannelModel(
+        eta_a=0.9, eta_b=0.7, depol_p=0.03, attacker="usd")))
+
+    def message(self, bad):
+        """The message of ``bad`` as one table; the same table between two good ones, batch last, must match it."""
+        single = check_message(lambda g: CorrelationTable("probability", g), bad)
+        batched = check_message(_probability_ch, np.stack([self.GOOD, bad, self.GOOD], axis=-1))
+        assert batched == single
+        return single
+
+    def test_the_table_is_valid(self):
+        assert self.GOOD.min() > 1e-3
+        assert self.message(self.GOOD.copy()) is None
+
+    @pytest.mark.parametrize("pair", list(np.ndindex(2, 2)))
+    def test_moved_mass_disagrees_exactly_when_a_marginal_moves(self, pair):
+        for a, b in itertools.combinations(np.ndindex(3, 3), 2):
+            bad = self.GOOD.copy()
+            bad[(*pair, *a)] += 1e-3
+            bad[(*pair, *b)] -= 1e-3
+            # the sender's outcome-0 marginal is row 0 of the pair, the receiver's column 0
+            moved = (a[0] == 0) != (b[0] == 0) or (a[1] == 0) != (b[1] == 0)
+            want = "setting marginals disagree across pairs by 1.000e-03" if moved else None
+            assert self.message(bad) == want, (pair, a, b)
+
+    @pytest.mark.parametrize("change", [1e-3, -1e-3, 2e-9])
+    def test_any_one_cell_breaks_its_pair_sum(self, change):
+        for cell in np.ndindex(2, 2, 3, 3):
+            bad = self.GOOD.copy()
+            bad[cell] += change
+            assert self.message(bad) == "each probability grid must sum to 1 within 1e-9", cell
 
 
 class TestSessionEstimator:
@@ -561,6 +608,19 @@ class TestSessionEstimator:
         result = run_session(cfg(n_rounds=2 * session._CHUNK + 5), workers=workers)
         assert not result.insufficient_statistics
         assert calls == {"_result_from_table": 1, "ch_value": 1}
+
+    def test_one_gain_per_session(self, monkeypatch):
+        # the raw and the extrapolated report share S_CH and the error rate, so they share one gain
+        result = run_session(cfg(channel=ChannelModel(eta_a=0.9, depol_p=0.01)))
+        calls = []
+        gain_from_ch = rates.gain_from_ch
+        monkeypatch.setattr(rates, "gain_from_ch", lambda *args: calls.append(args) or gain_from_ch(*args))
+        again = session._result_from_table(result.table, result.config)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for report in (again.rate_report, again.rate_report_extrapolated):
+            assert report == rates._rate_report(report.s_ch, report.qber, report.conclusive_fraction, result.n_con)
+        assert again.rate_report.conclusive_fraction < again.rate_report_extrapolated.conclusive_fraction
 
 
 class TestSift:
