@@ -42,9 +42,6 @@ _CHSH_SIGNS = np.array([[1.0, -1.0, -1.0],
                         [-1.0, 1.0, 1.0],
                         [-1.0, 1.0, 1.0]])
 
-# a probability table weighs both pairs of a setting equally in its marginals
-_HALVES = np.full(2, 0.5)
-
 # The twelve cells where S_CH has a nonzero coefficient, as flat indices into a table's 36 (9 (2i + j) + 3 row + col):
 # (0, 0) of pair 00, column 0 of pair 01, row 0 of pair 10, and row 0 and column 0 of pair 11; then the pair of each
 _CH_CELLS = (0, 9, 12, 15, 18, 19, 20, 27, 28, 29, 30, 33)
@@ -199,21 +196,6 @@ def _pair_totals(table: CorrelationTable) -> list:
     return totals
 
 
-def _probabilities(table: CorrelationTable):
-    """Per-pair probabilities, and the weights of pairs (1, j) and (i, 1) in the pooled marginals."""
-    g = table.grids
-    if table.mode == "probability":
-        return g, _HALVES, _HALVES
-    _pair_totals(table)
-    n = table.totals
-    return g / n[:, :, None, None], n[1] / n[1].sum(), n[:, 1] / n[:, 1].sum()
-
-
-def _pair_sums(terms: np.ndarray) -> np.ndarray:
-    """(..., 2, 2) sums of each pair's nine contiguous cells; this order fixes the rounding."""
-    return terms.reshape(terms.shape[:-2] + (9,)).sum(axis=-1)
-
-
 def _ch_cell_coefficients(w_a0, w_a1, w_b0, w_b1) -> tuple:
     """The coefficients of S_CH on ``_CH_CELLS``: the joint terms, less the pooled marginals P(a1) and P(b1).
 
@@ -247,13 +229,6 @@ def _probability_ch(grids: np.ndarray) -> np.ndarray:
     return sum(_ch_pairs(_CH_HALVES_COLUMN * cells))
 
 
-def _standard_error(table: CorrelationTable, variances: np.ndarray) -> float:
-    """Multinomial delta-method error from per-pair variances; 0 for probability tables."""
-    if table.mode != "count":
-        return 0.0
-    return math.sqrt(sum((np.maximum(variances, 0.0) / table.totals).ravel().tolist()))
-
-
 def ch_value(table: CorrelationTable) -> BellValue:
     """Probability-form Bell functional of a table; local bound 0.
 
@@ -283,13 +258,19 @@ def chsh_value(table: CorrelationTable) -> BellValue:
     """Correlator-form Bell functional; vacuum counts as the orthogonal click.
 
     Each correlator is E_ij = sum of the pair grid weighted by +-1, with the
-    target outcome positive and both other outcomes negative on each side.
-    Local bound |S| <= 2.
+    target outcome positive and both other outcomes negative on each side,
+    each pair's nine terms summed by numpy. Local bound |S| <= 2. A count
+    table's standard error is the multinomial delta method over the pairs'
+    variances 1 - E_ij^2; a probability table's is 0.
     """
-    p, _, _ = _probabilities(table)
-    corr = _pair_sums(_CHSH_SIGNS * p)
+    p, n = table.grids, table.totals
+    if n is not None:
+        _pair_totals(table)  # a pair without rounds raises
+        p = p / n[:, :, None, None]
+    corr = (_CHSH_SIGNS * p).reshape(2, 2, 9).sum(axis=-1)
     (e00, e01), (e10, e11) = corr.tolist()
-    return BellValue(e11 + e01 + e10 - e00, _standard_error(table, 1.0 - corr * corr))
+    error = 0.0 if n is None else math.sqrt(sum((np.maximum(1.0 - corr * corr, 0.0) / n).ravel().tolist()))
+    return BellValue(e11 + e01 + e10 - e00, error)
 
 
 def chsh_from_ch(s: BellValue) -> BellValue:
@@ -305,12 +286,16 @@ def _check_theta_range(theta: float) -> float:
 
 # The elementwise functions of the closed forms: numpy's for arrays, and for single angles libm's through
 # ``math``, where a numpy scalar call costs several times the arithmetic. The two must round alike, element for
-# element. Squares are pow(x, 2.0) on both sides (``np.float_power`` calls libm's pow; x * x differs from it in
-# the last bit on about 0.1 % of inputs), and libm's atan differs from numpy's arctan in the last bit on about
-# 0.2 % of inputs, so the float backend calls numpy's.
-_Backend = namedtuple("_Backend", "sin cos sqrt arctan pow")
-_ARRAY = _Backend(np.sin, np.cos, np.sqrt, np.arctan, np.float_power)
-_FLOAT = _Backend(math.sin, math.cos, math.sqrt, lambda x: float(np.arctan(x)), math.pow)
+# element, with one exception. Squares are pow(x, 2.0) on both sides (``np.float_power`` calls libm's pow; x * x
+# differs from it in the last bit on about 0.1 % of inputs), and libm's atan differs from numpy's arctan in the
+# last bit on about 0.2 % of inputs, so the float backend calls numpy's. The exception is log2: numpy's and libm's
+# round apart on about 0.2 % of inputs in (0, 1) and 0.3 % in (1, 2), and each backend keeps its own. The arrays
+# only rank the theta* scan's grid angles, while every reported gain comes from the floats' ``math.log2``. The
+# float maximum is a conditional: the builtin ``max`` of two floats takes about twice as long.
+_Backend = namedtuple("_Backend", "sin cos sqrt arctan pow log2 maximum")
+_ARRAY = _Backend(np.sin, np.cos, np.sqrt, np.arctan, np.float_power, np.log2, np.maximum)
+_FLOAT = _Backend(math.sin, math.cos, math.sqrt, lambda x: float(np.arctan(x)), math.pow, math.log2,
+                  lambda x, y: y if x < y else x)
 
 
 def _setting(theta, strategy: str, fns: _Backend = _ARRAY):

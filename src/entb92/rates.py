@@ -29,12 +29,13 @@ import numpy as np
 
 from .bell import _ARRAY, _FLOAT, CH_QUANTUM_MAX, _Backend, _setting
 from .channels import ChannelModel, _probability
-from .states import ProtocolAngle
+from .states import ProtocolAngle, _is_real
 
 _CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 _CH_DOMAIN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 _SLACK = 1e-9
 _LN2 = math.log(2.0)
+_TINY = 5e-324  # the least positive float, the floor of the entropy's logarithm arguments
 _SLOPE_MARGIN = 5e-12  # optimal_theta's tau in units of (f(a) - f(b)) / c, where the slope's error stays below 1.4e-14
 _check_depol = partial(_probability, "depolarization probability")
 
@@ -101,25 +102,34 @@ class ThresholdResult:
         return {**vars(self), "bracket": list(self.bracket)}
 
 
+def _gain(s, q, fns: _Backend):
+    """The secure gain 1 - log2(1 + sqrt(max(1 - 4s - 4s^2, 0))) - h(q), floats or arrays through ``fns``; no checks.
+
+    This is the one statement of the gain. h(q) = -q log2 q - (1-q) log2(1-q) takes the logarithms of q and 1 - q
+    floored at the least positive float: the product with q or 1 - q is then exactly 0 at q = 0 and q = 1, so
+    h(0) = h(1) = 0, and every q in (0, 1) keeps its plain expression bit for bit.
+    """
+    p = 1.0 - q
+    entropy = -q * fns.log2(fns.maximum(q, _TINY)) - p * fns.log2(fns.maximum(p, _TINY))
+    return 1.0 - fns.log2(1.0 + fns.sqrt(fns.maximum(1.0 - 4.0 * s - 4.0 * s * s, 0.0))) - entropy
+
+
 def binary_entropy(q: float) -> float:
     """h(q) = -q log2 q - (1-q) log2(1-q), extended by continuity at 0 and 1."""
-    q = _probability("binary entropy argument", q)
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    # at s = 0 the Bell term 1 - log2(1 + 1) is exactly 0, so the gain is -h(q); subtracting from 0.0 keeps h(0) = +0.0
+    return 0.0 - _gain(0.0, _probability("binary entropy argument", q), _FLOAT)
 
 
 def gain_from_chsh(s_chsh: float, q: float) -> float:
     """Secure gain from a correlator-form Bell value and an error rate.
 
-    Returns -log2(1/2 + 1/2 sqrt(2 - s^2/4)) - h(q); may be negative. Values
+    Returns -log2(1/2 + 1/2 sqrt(2 - s^2/4)) - h(q), as gain_from_ch((s - 2)/4, q); may be negative. Values
     beyond the quantum bound 2 sqrt(2) are rejected as unphysical.
     """
     s = float(s_chsh)
     if not math.isfinite(s) or abs(s) > _CHSH_QUANTUM_MAX + 1e-12:
         raise ValueError(f"correlator value {s_chsh!r} exceeds the quantum bound 2*sqrt(2)")
-    inner = max(2.0 - s * s / 4.0, 0.0)
-    return -math.log2(0.5 + 0.5 * math.sqrt(inner)) - binary_entropy(q)
+    return _gain((s - 2.0) / 4.0, _probability("error rate", q), _FLOAT)
 
 
 def gain_from_ch(s_ch: float, q: float) -> float:
@@ -131,15 +141,25 @@ def gain_from_ch(s_ch: float, q: float) -> float:
     s = float(s_ch)
     if not math.isfinite(s) or not _CH_DOMAIN_LO - 1e-12 <= s <= CH_QUANTUM_MAX + 1e-12:
         raise ValueError(f"Bell value {s_ch!r} lies outside the gain domain (max {CH_QUANTUM_MAX:.6f})")
-    radicand = max(1.0 - 4.0 * s - 4.0 * s * s, 0.0)
-    return 1.0 - math.log2(1.0 + math.sqrt(radicand)) - binary_entropy(q)
+    return _gain(s, _probability("error rate", q), _FLOAT)
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float; bools, strings, NaN, infinities and ints past the float range are rejected."""
+    try:
+        if _is_real(value) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def key_rate(n_con: float, gain: float) -> float:
-    """Total secret bits: conclusive events times gain (may be negative)."""
-    if n_con < 0:
+    """Total secret bits: conclusive events times gain (may be negative); both must be finite real numbers."""
+    n, g = _finite("conclusive count", n_con), _finite("gain", gain)
+    if n < 0:
         raise ValueError("conclusive count cannot be negative")
-    return float(n_con) * float(gain)
+    return n * g
 
 
 def depolarized_ch(s_ch: float, p: float) -> float:
@@ -218,11 +238,11 @@ def _rate_report(s_ch: float, qber: float, conclusive_fraction: float, n_con: Op
                  gain: Optional[float] = None) -> RateReport:
     """The one constructor of a ``RateReport``, from an S_CH value, an error rate and a conclusive fraction.
 
-    The gain reads S_CH clipped to the gain domain, which finite-sample estimates can leave; a caller that holds
-    a report of the same S_CH and error rate passes its ``gain`` instead. ``rate`` is ``key_rate(n_con, gain)``,
-    or the normalized rate (per detected pair) when ``n_con`` is None.
+    The gain reads S_CH clipped to the gain domain, which finite-sample estimates can leave, and the error rate
+    unchecked; a caller that holds a report of the same S_CH and error rate passes its ``gain`` instead. ``rate``
+    is ``key_rate(n_con, gain)``, or the normalized rate (per detected pair) when ``n_con`` is None.
     """
-    gain = gain_from_ch(min(max(s_ch, _CH_DOMAIN_LO), CH_QUANTUM_MAX), qber) if gain is None else gain
+    gain = _gain(min(max(s_ch, _CH_DOMAIN_LO), CH_QUANTUM_MAX), qber, _FLOAT) if gain is None else gain
     r_norm = conclusive_fraction * gain
     return RateReport(s_ch=s_ch, s_chsh=4.0 * s_ch + 2.0, qber=qber, conclusive_fraction=conclusive_fraction,
                       gain=gain, rate=r_norm if n_con is None else key_rate(n_con, gain), normalized_rate=r_norm)
@@ -245,18 +265,8 @@ for _fixed in (_THETA_GRID, *(row for rows in _SCAN_COLUMNS.values() for row in 
     _fixed.setflags(write=False)
 
 
-def _gain_array(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """gain_from_ch evaluated elementwise, with h(0) = h(1) = 0: the masks are built only when q reaches 0 or 1."""
-    inside = None if 0.0 < q.min() and q.max() < 1.0 else (q > 0.0) & (q < 1.0)
-    qi = q if inside is None else np.where(inside, q, 0.5)
-    entropy = -qi * np.log2(qi) - (1.0 - qi) * np.log2(1.0 - qi)
-    if inside is not None:
-        entropy = np.where(inside, entropy, 0.0)
-    return 1.0 - np.log2(1.0 + np.sqrt(np.maximum(1.0 - 4.0 * s - 4.0 * s * s, 0.0))) - entropy
-
-
 def _gain_slope(theta: float, p: float, strategy: str) -> float:
-    """d(gain)/d(theta) of the closed form, for one angle, on Python floats; p is not validated here.
+    """d(``_gain``)/d(theta) along the closed form, for one angle, on Python floats; p is not validated here.
 
     gain = 1 - log2(1 + r) - h(Q) with r = sqrt(1 - 4s - 4s^2), so
     d gain = 2 s' (1 + 2s) / (ln 2 r (1 + r)) - log2((1 - Q)/Q) Q'.
@@ -338,7 +348,7 @@ def optimal_theta(p: float, strategy: str = "fixed_settings"):
     _check_strategy(strategy)
     p = _check_depol(p)
     s, same, diff = _depolarized(p, *_SCAN_COLUMNS[strategy])
-    i = int(_gain_array(s, _qber_and_total(same, diff)[0]).argmax())
+    i = int(_gain(s, _qber_and_total(same, diff)[0], _ARRAY).argmax())
     a, b = _THETA_GRID.item(max(i - 1, 0)), _THETA_GRID.item(min(i + 1, len(_THETA_GRID) - 1))
     f = lambda theta: _gain_slope(theta, p, strategy)
     if (fa := f(a)) <= 0.0:

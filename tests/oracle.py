@@ -124,6 +124,26 @@ def np_ch_value(grids, mode):
     return value, math.sqrt(sum((np.maximum(second - mean * mean, 0.0) / n).ravel().tolist()))
 
 
+def np_chsh_value(grids, mode):
+    """(S_CHSH, standard error) of a (2, 2, 3, 3) table from its four correlators.
+
+    The bit reference for ``chsh_value``: a count table's int64 cells over
+    its int64 pair totals, each correlator E_ij numpy's sum of the pair's
+    nine cells signed +1 on (target, target) and (no target, no target) and
+    -1 elsewhere, S = E11 + E01 + E10 - E00, and the multinomial delta-method
+    error over the variances 1 - E_ij^2, 0 for a probability table.
+    """
+    g = np.asarray(grids)
+    n = None if mode == "probability" else g.sum(axis=(2, 3))
+    p = g if n is None else g / n[:, :, None, None]
+    side = np.array([1.0, -1.0, -1.0])
+    corr = (np.outer(side, side) * p).reshape(2, 2, 9).sum(axis=-1)
+    (e00, e01), (e10, e11) = corr.tolist()
+    if n is None:
+        return e11 + e01 + e10 - e00, 0.0
+    return e11 + e01 + e10 - e00, math.sqrt(sum((np.maximum(1.0 - corr * corr, 0.0) / n).ravel().tolist()))
+
+
 def ch_born(theta, bob_theta=None, eta_a=1.0, eta_b=1.0, rho=None):
     """Clauser-Horne value computed end to end from density matrices."""
     if bob_theta is None:

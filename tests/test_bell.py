@@ -312,6 +312,23 @@ class TestChsh:
         # equal per-pair totals keep the statistical bridge nearly exact
         assert s_chsh == pytest.approx(4.0 * s_ch + 2.0, abs=1e-6)
 
+    def test_value_and_error_are_oracle_bits(self):
+        rng = np.random.default_rng(32)
+        tables = [prob_table(oracle.random_no_signaling_grids(rng)) for _ in range(200)]
+        for _ in range(300):
+            grids = rng.integers(0, 50, (2, 2, 3, 3))
+            grids[rng.random((2, 2, 3, 3)) < rng.uniform(0.0, 0.9)] = 0
+            grids[:, :, 2, 2] += 1
+            tables.append(CorrelationTable("count", grids))
+        for k in range(6):
+            channel = ChannelModel(eta_a=0.9, depol_p=0.02, attacker="usd" if k % 2 else "none")
+            tables.append(run_session(SessionConfig(angle=ProtocolAngle(0.3 + 0.2 * k), n_rounds=5000,
+                                                    channel=channel, seed=k)).table)
+        for table in tables:
+            got = chsh_value(table)
+            want = oracle.np_chsh_value(table.grids, table.mode)
+            assert (got.value.hex(), got.standard_error.hex()) == tuple(x.hex() for x in want)
+
 
 class TestClosedForms:
     def test_fixed_settings_curve(self):

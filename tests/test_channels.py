@@ -17,7 +17,7 @@ from entb92.channels import (
     usd_povm,
 )
 from entb92.qcore import DensityMatrix, Povm, born_probabilities, partial_trace
-from entb92.rates import binary_entropy, depolarized_ch, pm_reference_rate
+from entb92.rates import binary_entropy, depolarized_ch, gain_from_ch, gain_from_chsh, pm_reference_rate
 from entb92.states import ProtocolAngle, entangled_state, signal_state
 
 RNG = np.random.default_rng(41907)
@@ -63,6 +63,8 @@ PROBABILITY_SITES = {
     "lossy_povm": (lambda v: lossy_povm(Povm(z_projectors(), labels=("t", "o")), v), "efficiency"),
     "ch_with_loss": (lambda v: ch_with_loss(1.0, v, 1.0), "eta_a"),
     "binary_entropy": (binary_entropy, "binary entropy argument"),
+    "gain_from_ch": (lambda v: gain_from_ch(0.1, v), "error rate"),
+    "gain_from_chsh": (lambda v: gain_from_chsh(2.4, v), "error rate"),
     "depolarized_ch": (lambda v: depolarized_ch(0.1, v), "depolarization probability"),
     "pm_reference_rate": (pm_reference_rate, "depolarization probability"),
 }

@@ -114,6 +114,39 @@ class TestGainFormulas:
         assert key_rate(10 ** 6, 0.26756769267675207) == pytest.approx(
             267567.69267675207)
         assert key_rate(100, -0.2) == pytest.approx(-20.0)
+        assert key_rate(np.int64(3), np.float32(0.5)) == 1.5
+
+    @pytest.mark.parametrize("n_con, gain, name", [
+        (math.nan, 1.0, "conclusive count"), (True, 0.5, "conclusive count"), ("3", 0.5, "conclusive count"),
+        (None, 0.5, "conclusive count"), (-1, 0.5, "conclusive count"), (10 ** 400, 0.5, "conclusive count"),
+        (3, math.inf, "gain"), (3, -math.inf, "gain"), (3, math.nan, "gain"), (3, False, "gain"),
+        (3, "0.5", "gain"), (3, 10 ** 400, "gain")])
+    def test_key_rate_rejects_what_is_not_a_finite_real(self, n_con, gain, name):
+        with pytest.raises(ValueError, match=name):
+            key_rate(n_con, gain)
+
+
+class TestOneGain:
+    """``_gain`` on a lattice over both ends of its domain, against the oracle's gain, bit for bit."""
+
+    # the domain's ends and one float past each, where the radicand 1 - 4s - 4s^2 clips to 0
+    S = [math.nextafter(rates._CH_DOMAIN_LO, -math.inf), rates._CH_DOMAIN_LO, -0.5, 0.0, 0.1, CH_QUANTUM_MAX,
+         math.nextafter(CH_QUANTUM_MAX, math.inf)]
+    Q = [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]
+
+    def test_lattice_is_oracle_bits_without_float_warnings(self):
+        assert all(1.0 - 4.0 * s - 4.0 * s * s < 0.0 for s in (self.S[0], self.S[-1]))
+        s, q = (a.ravel() for a in np.meshgrid(self.S, self.Q))
+        pairs = list(zip(s.tolist(), q.tolist()))
+        with np.errstate(all="raise"):
+            got_array = rates._gain(s, q, rates._ARRAY)
+            got_float = [gain_from_ch(si, qi) for si, qi in pairs]
+        assert bits(got_array) == bits(oracle.np_gain_array(s, q))
+        assert bits(got_float) == bits(oracle.gain_ch(si, qi) for si, qi in pairs)
+
+    def test_binary_entropy_is_oracle_bits(self):
+        for q in [*self.Q, *np.random.default_rng(2911).uniform(0.0, 1.0, 200).tolist()]:
+            assert binary_entropy(q).hex() == oracle.h2(q).hex()
 
 
 class TestDepolarizedCh:
@@ -297,7 +330,7 @@ class TestClosedFormKernel:
             for p in (0.0, 0.02, 0.05):
                 s, q, _ = rates._closed_form(rates._THETA_GRID, p, strategy)
                 want = [gain_from_ch(si, qi) for si, qi in zip(s, q)]
-                np.testing.assert_allclose(rates._gain_array(s, q), want, rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(rates._gain(s, q, rates._ARRAY), want, rtol=0.0, atol=1e-13)
 
     def test_hot_path_builds_no_density_matrices(self, monkeypatch):
         def refuse(*args, **kwargs):

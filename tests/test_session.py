@@ -613,8 +613,8 @@ class TestSessionEstimator:
         # the raw and the extrapolated report share S_CH and the error rate, so they share one gain
         result = run_session(cfg(channel=ChannelModel(eta_a=0.9, depol_p=0.01)))
         calls = []
-        gain_from_ch = rates.gain_from_ch
-        monkeypatch.setattr(rates, "gain_from_ch", lambda *args: calls.append(args) or gain_from_ch(*args))
+        gain = rates._gain
+        monkeypatch.setattr(rates, "_gain", lambda *args: calls.append(args) or gain(*args))
         again = session._result_from_table(result.table, result.config)
         assert len(calls) == 1
         monkeypatch.undo()
