@@ -126,8 +126,8 @@ def gain_from_chsh(s_chsh: float, q: float) -> float:
     Returns -log2(1/2 + 1/2 sqrt(2 - s^2/4)) - h(q), as gain_from_ch((s - 2)/4, q); may be negative. Values
     beyond the quantum bound 2 sqrt(2) are rejected as unphysical.
     """
-    s = float(s_chsh)
-    if not math.isfinite(s) or abs(s) > _CHSH_QUANTUM_MAX + 1e-12:
+    s = _finite("correlator value", s_chsh)
+    if abs(s) > _CHSH_QUANTUM_MAX + 1e-12:
         raise ValueError(f"correlator value {s_chsh!r} exceeds the quantum bound 2*sqrt(2)")
     return _gain((s - 2.0) / 4.0, _probability("error rate", q), _FLOAT)
 
@@ -138,8 +138,8 @@ def gain_from_ch(s_ch: float, q: float) -> float:
     Equals gain_from_chsh(4 s + 2, q); defined while 1 - 4s - 4s^2 >= 0,
     i.e. for -(1 + sqrt(2))/2 = _CH_DOMAIN_LO <= s <= CH_QUANTUM_MAX = (sqrt(2) - 1)/2.
     """
-    s = float(s_ch)
-    if not math.isfinite(s) or not _CH_DOMAIN_LO - 1e-12 <= s <= CH_QUANTUM_MAX + 1e-12:
+    s = _finite("Bell value", s_ch)
+    if not _CH_DOMAIN_LO - 1e-12 <= s <= CH_QUANTUM_MAX + 1e-12:
         raise ValueError(f"Bell value {s_ch!r} lies outside the gain domain (max {CH_QUANTUM_MAX:.6f})")
     return _gain(s, _probability("error rate", q), _FLOAT)
 

@@ -15,9 +15,10 @@ The variate picks the whole round at once: basis choices, outcomes and, on
 attacked sessions, the attacker's branch. Its cells are the exact Born
 cells of ``_born_stages``, which ``born_table`` also returns, weighted by
 the basis choices and laid out as one CDF row per setting, precomputed
-with thresholds ``ceil(cdf * 2^53) * 2^-53`` on the variates' own grid. One
-decode turns variates into cells by a guide-table lookup; the chunked
-tally and the scalar ``sample_round`` both run it.
+with thresholds ``ceil(cdf * 2^53) * 2^-53`` on the variates' own grid. The
+chunked tally counts grid cells straight from a guide table over the
+thresholds at each grid cell's last row cell; the scalar ``sample_round``
+counts the row's own thresholds, the same rule, which also gives the branch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import functools
 import numbers
 import operator
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ import numpy as np
 
 from .bell import _ARRAY, _FLOAT, BellValue, CorrelationTable, _Backend, _probability_ch, ch_value
 from .channels import ChannelModel
-from .rates import RateReport, _rate_report
+from .rates import RateReport, _finite, _rate_report
 from .states import ProtocolAngle, _is_real
 
 
@@ -72,8 +72,10 @@ _COUNTED = tuple(operator.itemgetter(*np.flatnonzero(column).tolist()) for colum
 _ROW_CELLS = (tuple((c, None) for c in range(36)),
               tuple((9 * (2 * i + j) + 3 * row + col, e) for i in (0, 1) for j in (0, 1) for row in range(3)
                     for col in range(3) for e in range(4) if (col == 2 if e > 1 else i or row != e)))
-# each grid cell's first row cell, the starts np.add.reduceat folds a row's counts at
-_FOLDS = tuple(_read_only(np.array([[c for c, _ in cells].index(g) for g in range(36)])) for cells in _ROW_CELLS)
+# each grid cell's last attacked row cell, whose threshold is the grid cell's
+_LASTS = _read_only(np.flatnonzero(np.diff([c for c, _ in _ROW_CELLS[1]], append=36)))
+# the grid cells, which a guide table repeats as often as each fills buckets
+_GRID_CELLS = _read_only(np.arange(36, dtype=np.uint8))
 # where each attacked row cell (i, j, row, col, e) reads the flat (i, row, e) and (e, j, col) stages of _born_stages
 _STAGE1_AT, _STAGE2_AT = map(_read_only, np.array(
     [((c // 18 * 3 + c // 3 % 3) * 4 + e, (2 * e + c // 9 % 2) * 3 + c % 3) for c, e in _ROW_CELLS[1]]).T.copy())
@@ -121,11 +123,7 @@ class SessionConfig:
         for name in ("n_rounds", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("test_fraction", "abort_threshold"):
-            value = getattr(self, name)
-            # the bound is compared before float(), so an int past the float range raises no OverflowError
-            if not _is_real(value) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not 1 <= self.n_rounds <= MAX_ROUNDS:
             raise ValueError(f"n_rounds must lie in [1, {MAX_ROUNDS}], got {self.n_rounds!r}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -289,48 +287,60 @@ class _Distributions:
 
     Row cell (c, e) has probability w_i / 2 times the ``_born_stages`` cell
     of grid cell c (times the receiver cell of branch e on attacked
-    sessions), with w_X = ``test_fraction`` and w_Z = 1 - w_X. ``fold``
-    holds each grid cell's first row cell, ``guide`` and ``bounds`` come from
-    ``_guide_table``. All are read-only, so one instance can serve many callers.
+    sessions), with w_X = ``test_fraction`` and w_Z = 1 - w_X.
+    ``thresholds`` holds the row's ``_thresholds``, ``bounds`` those at each
+    grid cell's last row cell (the row's own without an attacker) and
+    ``guide`` the ``_guide_table`` of ``bounds``. All are read-only, so one
+    instance can serve many callers.
     """
 
-    __slots__ = ("cells", "fold", "cdf", "guide", "bounds")
+    __slots__ = ("cells", "cdf", "thresholds", "bounds", "guide")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
         stage1, stage2 = _born_stages(*_squares(angle.theta), channel)
         attacked = stage2 is not None
-        self.cells, self.fold = _ROW_CELLS[attacked], _FOLDS[attacked]
+        self.cells = _ROW_CELLS[attacked]
         w = np.array([1.0 - test_fraction, test_fraction]) * 0.5
         if attacked:
             probabilities = (stage1 * w[:, None, None]).take(_STAGE1_AT) * stage2.take(_STAGE2_AT)
         else:
             probabilities = (stage1 * w[:, None, None, None]).ravel()
         self.cdf = _read_only(probabilities.cumsum())
-        self.guide, self.bounds = _guide_table(self.cdf)
+        self.thresholds = self.bounds = _thresholds(self.cdf)
+        if attacked:
+            self.bounds = _read_only(self.thresholds.take(_LASTS))
+        self.guide = _guide_table(self.bounds)
 
 
-def _guide_table(cdf: np.ndarray):
-    """Guide table and thresholds of a CDF row.
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """Thresholds of a CDF row: ``ceil(c * 2^53) * 2^-53`` of each entry c, the last one 1.
 
-    Threshold ``ceil(c * 2^53) * 2^-53`` is the least variate on the 2^-53
-    grid of ``Generator.random()`` with c <= it; the last one and those >= 1
-    become 1, which no variate reaches. A variate's cell, the count of the
-    thresholds <= it, is then the clipped ``searchsorted(cdf, x, side="right")``.
-    Guide entry b is that count at the bucket's first variate b / 4096, or'ed
-    with ``_MIXED`` when a threshold falls later in the bucket. Scaling a
-    threshold by 4096 to its bucket position q is exact.
+    Threshold k is the least variate on the 2^-53 grid of
+    ``Generator.random()`` with c_k <= it; those of entries >= 1 and the last
+    one become 1, which no variate reaches. A variate's row cell, the count
+    of the thresholds <= it, is then ``searchsorted(thresholds, x, side="right")``.
     """
     bounds = np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53) * 2.0 ** -53
     bounds[-1] = 1.0
+    return _read_only(bounds)
+
+
+def _guide_table(bounds: np.ndarray) -> np.ndarray:
+    """Guide table of the 36 grid-cell thresholds ``bounds``.
+
+    Entry b is the count of the thresholds <= the bucket's first variate
+    b / 4096, or'ed with ``_MIXED`` when a threshold falls later in the
+    bucket. Scaling a threshold by 4096 to its bucket position q is exact.
+    """
     q = bounds * _BUCKETS
     # cell k fills the buckets from the first wholly at or above threshold k - 1, ceil(q), to that of k
     first = np.ceil(q)
     filled = first.astype(np.intp)
     filled[1:] -= filled[:-1]
-    guide = np.arange(len(cdf), dtype=np.uint8).repeat(filled)
+    guide = _GRID_CELLS.repeat(filled)
     # a threshold past its bucket's first variate splits the bucket below ceil(q)
     guide[first[first != q].astype(np.intp) - 1] |= _MIXED
-    return _read_only(guide), _read_only(bounds)
+    return _read_only(guide)
 
 
 @functools.lru_cache(maxsize=16)
@@ -355,7 +365,7 @@ def _words(stream, start: int, n: int, out: np.ndarray) -> np.ndarray:
 
 
 def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """The row cell of each variate: the guide's count, or in a split bucket the search of ``_guide_table``.
+    """The grid cell of each variate: the guide's count, or in a split bucket the count of ``dist.bounds`` <= it.
 
     Per-round arrays stay uint8/uint16: round-length intp temporaries let
     malloc trim the heap and fault it back in on every chunk.
@@ -369,9 +379,8 @@ def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
 
 
 def _tally_chunk(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """Count-mode (2,2,3,3) tally for one block of variates, the row's counts folded onto the grid."""
-    counts = np.bincount(_decode(variates, dist), minlength=len(dist.cells))
-    return np.add.reduceat(counts, dist.fold).reshape(2, 2, 3, 3)
+    """Count-mode (2,2,3,3) tally for one block of variates."""
+    return np.bincount(_decode(variates, dist), minlength=36).reshape(2, 2, 3, 3)
 
 
 def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> RoundRecord:
@@ -383,7 +392,7 @@ def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> Round
     test fraction) and reused by later calls with the same setting.
     """
     dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
-    cell, e = dist.cells[_decode(rng_state.random(1), dist)[0]]
+    cell, e = dist.cells[dist.thresholds.searchsorted(rng_state.random(), side="right")]
     fields, key_bit = _CELLS[cell]
     return RoundRecord(*fields, key_bit=key_bit, eve_outcome=None if e is None else e + 1)
 

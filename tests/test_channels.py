@@ -80,6 +80,23 @@ def test_probabilities_reject_bools_and_strings(site):
         call(good)
 
 
+# every Bell-value argument of a gain must be a finite real number before its domain is checked
+BELL_VALUE_SITES = {
+    "gain_from_ch": (lambda v: gain_from_ch(v, 0.05), "Bell value"),
+    "gain_from_chsh": (lambda v: gain_from_chsh(v, 0.05), "correlator value"),
+}
+
+
+@pytest.mark.parametrize("site", BELL_VALUE_SITES)
+def test_bell_values_reject_bools_and_strings(site):
+    call, name = BELL_VALUE_SITES[site]
+    for bad in (True, False, np.bool_(False), "0.1", None, math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite real number, got {bad!r}")):
+            call(bad)
+    for good in (0, np.int64(0), np.float64(0.1), np.float32(0.1)):
+        assert type(call(good)) is float
+
+
 class TestDepolarize:
     def test_zero_strength_identity(self):
         dm = random_density(RNG)

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -118,6 +119,13 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             cfg(**kw)
 
+    def test_numpy_float32_fraction_and_threshold_warn_nothing(self):
+        # checked as floats, not against the float range cast to float32, which overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = cfg(test_fraction=np.float32(0.25), abort_threshold=np.float32(-0.5))
+        assert [(type(v), v) for v in (c.test_fraction, c.abort_threshold)] == [(float, 0.25), (float, -0.5)]
+
     def test_round_count_bounded(self):
         # the bound is checked when the config is built, so no session of MAX_ROUNDS + 1 rounds draws a round
         assert cfg(n_rounds=MAX_ROUNDS).n_rounds == MAX_ROUNDS
@@ -216,8 +224,11 @@ class TestScalarSampler:
         res = run_session(config, workers=workers)
         variates = np.concatenate([drawn[start] for start in sorted(drawn)])
         dist = session._shared_distributions(config.angle, config.channel, config.test_fraction)
-        cells = row_cells(attacker == "usd")
-        want = [(cell, None if e is None else e + 1) for cell, e in (cells[k] for k in session._decode(variates, dist))]
+        cells, ts = row_cells(attacker == "usd"), exact_thresholds(dist.cdf)
+        # each round's row cell counts the row's exact thresholds at or below its variate, as sample_round does
+        rows = [bisect.bisect_right(ts, int(x * GRID)) for x in variates]
+        want = [(cell, None if e is None else e + 1) for cell, e in (cells[k] for k in rows)]
+        assert session._decode(variates, dist).tolist() == [cell for cell, _ in want]
         records = replay_rounds(config)
         assert [(np.ravel_multi_index(record_cell(rec), (2, 2, 3, 3)), rec.eve_outcome) for rec in records] == want
         np.testing.assert_array_equal(tally_records(records)[0], res.table.grids)
@@ -247,7 +258,7 @@ class TestScalarSampler:
     def test_shared_tables_are_read_only(self):
         for channel in (ChannelModel(), ChannelModel(attacker="usd")):
             dist = session._shared_distributions(ANG, channel, 0.25)
-            for table in (dist.cdf, dist.guide, dist.bounds, dist.fold):
+            for table in (dist.cdf, dist.thresholds, dist.guide, dist.bounds):
                 with pytest.raises(ValueError):
                     table[0] = 1
 
@@ -324,6 +335,16 @@ def exact_thresholds(cdf):
     return [math.ceil(Fraction(float(c)) * GRID) for c in cdf[:-1]]
 
 
+def grid_thresholds(dist):
+    """The exact thresholds at each grid cell's last row cell but the last grid cell's, as ``row_cells`` places them.
+
+    A variate's grid cell is the count of these at or below it: every row cell
+    of grid cell g lies past the last row cell of each grid cell before g.
+    """
+    ts, grid = exact_thresholds(dist.cdf), [c for c, _ in row_cells(len(dist.cells) > 36)]
+    return [t for t, c, after in zip(ts, grid, grid[1:]) if after != c]
+
+
 def threshold_units(dist):
     """Every k = t - 1, t and t + 1 at a threshold t, and 0 and GRID - 1, that random() can return as k / GRID."""
     ts = set(exact_thresholds(dist.cdf))
@@ -351,9 +372,12 @@ class TestWordKernel:
         if channel == WORD_CHANNELS["crowded-attacked"]:
             assert dist.cdf[-1] < 1.0
         units = threshold_units(dist)
-        ts = exact_thresholds(dist.cdf)
-        want = [sum(t <= k for t in ts) for k in units]
-        assert session._decode(np.array(units, dtype=np.float64) / GRID, dist).tolist() == want
+        variates = np.array(units, dtype=np.float64) / GRID
+        ts, grid_ts = exact_thresholds(dist.cdf), grid_thresholds(dist)
+        # the row cell sample_round reads, and the grid cell the tally reads
+        rows, grid = ([sum(t <= k for t in thresholds) for k in units] for thresholds in (ts, grid_ts))
+        assert dist.thresholds.searchsorted(variates, side="right").tolist() == rows
+        assert session._decode(variates, dist).tolist() == grid
 
     @pytest.mark.parametrize("name", ["crowded", "crowded-attacked"])
     def test_crowded_settings_split_a_bucket_twice(self, name):
@@ -371,13 +395,26 @@ class TestWordKernel:
         # is flagged exactly when that count changes by the bucket's last variate
         dist = _Distributions(ANG, channel, 0.25)
         assert dist.guide.shape == (4096,)
-        ts = sorted(exact_thresholds(dist.cdf))
-        assert (dist.bounds * GRID).tolist() == [min(t, GRID) for t in exact_thresholds(dist.cdf)] + [GRID]
+        ts = sorted(grid_thresholds(dist))
+        assert (dist.thresholds * GRID).tolist() == [min(t, GRID) for t in exact_thresholds(dist.cdf)] + [GRID]
+        assert (dist.bounds * GRID).tolist() == [min(t, GRID) for t in grid_thresholds(dist)] + [GRID]
         at = [bisect.bisect_right(ts, b << 41) for b in range(4097)]
         last = [bisect.bisect_right(ts, ((b + 1) << 41) - 1) for b in range(4096)]
         guide = dist.guide.tolist()
         assert [g & 0x7F for g in guide] == at[:-1]
         assert [g >= 0x80 for g in guide] == [n != c for n, c in zip(last, at)]
+
+    def test_attacked_tally_splits_buckets_only_between_grid_cells(self):
+        # thresholds between two row cells of one grid cell change no count, so
+        # the tally's guide leaves their buckets whole: 75 of the row's split buckets, at most 35 of the grid's
+        channel = ChannelModel(eta_a=0.95, eta_b=0.9, depol_p=0.02, attacker="usd")
+        dist = _Distributions(ProtocolAngle.from_degrees(60.3), channel, 0.25)
+        cells = row_cells(True)
+        lasts = [max(k for k, (c, _) in enumerate(cells) if c == g) for g in range(36)]
+        assert dist.bounds.tolist() == dist.thresholds[lasts].tolist()
+        row_splits = {t >> 41 for t in exact_thresholds(dist.cdf) if t < GRID and t % 2 ** 41}
+        assert len(row_splits) == 75
+        assert np.count_nonzero(dist.guide >= 0x80) <= 35
 
     @pytest.mark.parametrize("channel", WORD_CHANNELS.values(), ids=WORD_CHANNELS.keys())
     def test_masked_raw_words_match_float_decode(self, channel, monkeypatch):
