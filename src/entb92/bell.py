@@ -149,11 +149,15 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
-        """Inverse of ``to_json_dict``; ``totals`` must be what the grids give."""
+        """Inverse of ``to_json_dict``; ``totals`` must be what the grids give, and a malformed document raises."""
+        if not isinstance(data, dict) or "mode" not in data:
+            raise ValueError("a table document must be an object with the key 'mode'")
+        if not isinstance(pairs := data.get("pairs"), dict) or not all(key in pairs for key in PAIR_KEYS):
+            raise ValueError(f"a table document's 'pairs' must be an object with the keys {', '.join(PAIR_KEYS)}")
         for key in PAIR_KEYS:
-            if np.shape(data["pairs"][key]) != (9,):
+            if np.shape(pairs[key]) != (9,):
                 raise ValueError(f"pair {key} must hold 9 values")
-        table = cls(data["mode"], np.array([data["pairs"][key] for key in PAIR_KEYS], dtype=object).reshape(2, 2, 3, 3))
+        table = cls(data["mode"], np.array([pairs[key] for key in PAIR_KEYS], dtype=object).reshape(2, 2, 3, 3))
         totals, expected = data.get("totals"), table.to_json_dict()["totals"]
         if totals != expected:
             raise ValueError(f"totals must be {expected!r} on this {table.mode} table, got {totals!r}")
@@ -313,6 +317,19 @@ def _setting(theta, strategy: str, fns: _Backend = _ARRAY):
     return fns.arctan(sin_t), cos_t / (1.0 + sin_t * sin_t), 0.5 * (root - 1.0), 0.5 * sin_t * cos_t / root
 
 
+def _overlaps(theta, phi, fns: _Backend = _FLOAT) -> tuple:
+    """The receiver's squared overlaps (same, diff, X row 0, X row 1) at source angle theta and setting angle phi.
+
+    The conclusive ket of B_j overlaps signal j by sin^2((phi - theta)/2) and signal 1 - j by
+    sin^2((phi + theta)/2), and the X kets of sender rows 0 and 1 by cos^2(phi/2) and sin^2(phi/2); each square is
+    pow(x, 2.0). This is the one statement of the four. At phi = theta they are 0, sin^2 theta, cos^2(theta/2) and
+    sin^2(theta/2) bit for bit: 0.5 (theta + theta) is theta and 0.5 theta is theta/2 in floats.
+    """
+    sin, power, half = fns.sin, fns.pow, 0.5 * phi
+    return (power(sin(0.5 * (phi - theta)), 2.0), power(sin(0.5 * (phi + theta)), 2.0),
+            power(fns.cos(half), 2.0), power(sin(half), 2.0))
+
+
 def analytic_ch(theta: float) -> float:
     """Closed-form S_CH of the source state with the standard settings.
 
@@ -343,8 +360,8 @@ def ch_with_loss(theta: float, eta_a: float, eta_b: float) -> float:
     """
     theta = _check_theta_range(theta)
     eta_a, eta_b = _probability("eta_a", eta_a), _probability("eta_b", eta_b)
-    s = math.sin(theta)
-    return (eta_a - 0.5) * eta_b * s * s - eta_a * math.sin(theta / 2.0) ** 2
+    _, diff, _, a2 = _overlaps(theta, theta)
+    return (eta_a - 0.5) * eta_b * diff - eta_a * a2
 
 
 def table_from_state(joint, settings: SettingPairSpec, channel: ChannelModel) -> CorrelationTable:

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bell import _ARRAY, _FLOAT, CH_QUANTUM_MAX, _Backend, _setting
+from .bell import _ARRAY, _FLOAT, CH_QUANTUM_MAX, _Backend, _overlaps, _setting
 from .channels import ChannelModel, _probability
 from .states import ProtocolAngle, _is_real
 
@@ -168,8 +168,13 @@ def depolarized_ch(s_ch: float, p: float) -> float:
     The map shrinks every receiver-side Bloch vector by (1 - 4p/3), which
     turns any rank-1-settings value s into (1 - 4p/3) s - 2p/3. Fully
     depolarizing (p = 3/4) lands on -1/2, the value of uncorrelated noise.
-    Works elementwise on arrays.
+    Works elementwise on numpy arrays of real, finite numbers; any other
+    Bell value must be a finite real number.
     """
+    if not (isinstance(s_ch, np.ndarray) and s_ch.dtype.kind in "iuf"):
+        s_ch = _finite("Bell value", s_ch)
+    elif not np.isfinite(s_ch).all():
+        raise ValueError("Bell values must be finite")
     return _depolarized(_check_depol(p), s_ch, 0.0, 0.0)[0]
 
 
@@ -191,17 +196,6 @@ def _depolarized(p: float, s_clean, same, diff):
     return d * s_clean - shift, d * same + shift, d * diff + shift
 
 
-def _key_round_weights(theta, phi, fns: _Backend = _ARRAY):
-    """Conclusive weights (same, diff) of the key rounds on a noiseless channel.
-
-    ``same`` is P(conclusive | receiver basis equals the sender bit): the
-    conjugate ket at setting angle phi overlaps the signal at theta by
-    sin((phi - theta)/2); ``diff`` is the other basis, with overlap
-    sin((phi + theta)/2). ``_depolarized`` adds the noise.
-    """
-    return fns.pow(fns.sin(0.5 * (phi - theta)), 2.0), fns.pow(fns.sin(0.5 * (phi + theta)), 2.0)
-
-
 def _qber_and_total(same, diff):
     """Q = same/(same + diff) and the total same + diff of the key-round weights, twice the conclusive fraction."""
     total = same + diff
@@ -209,9 +203,9 @@ def _qber_and_total(same, diff):
 
 
 def _scan_columns(theta, strategy: str, fns: _Backend = _ARRAY):
-    """The p-free columns (clean S_CH, clean same, clean diff) at source angle theta; floats with ``_FLOAT``."""
+    """The p-free columns (clean S_CH, same, diff) at source angle theta, same and diff from ``_overlaps``."""
     phi, _, s_clean, _ = _setting(theta, strategy, fns)
-    return (s_clean, *_key_round_weights(theta, phi, fns))
+    return (s_clean, *_overlaps(theta, phi, fns)[:2])
 
 
 def _closed_form(theta, p: float, strategy: str, fns: _Backend = _ARRAY):
@@ -276,7 +270,7 @@ def _gain_slope(theta: float, p: float, strategy: str) -> float:
     """
     d = 1.0 - 4.0 * p / 3.0
     phi, dphi, s_clean, ds_clean = _setting(theta, strategy, _FLOAT)
-    s, same, diff = _depolarized(p, s_clean, *_key_round_weights(theta, phi, _FLOAT))
+    s, same, diff = _depolarized(p, s_clean, *_overlaps(theta, phi)[:2])
     q, total = _qber_and_total(same, diff)
     r = math.sqrt(1.0 - 4.0 * s - 4.0 * s * s)
     slope = 2.0 * d * ds_clean * (1.0 + 2.0 * s) / (_LN2 * r * (1.0 + r))

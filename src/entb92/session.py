@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bell import _ARRAY, _FLOAT, BellValue, CorrelationTable, _Backend, _probability_ch, ch_value
+from .bell import _ARRAY, _FLOAT, BellValue, CorrelationTable, _Backend, _overlaps, _probability_ch, ch_value
 from .channels import ChannelModel
 from .rates import RateReport, _finite, _rate_report
 from .states import ProtocolAngle, _is_real
@@ -200,36 +200,26 @@ class SessionResult:
         return _json_fields(self)
 
 
-def _squares(theta, fns: _Backend = _FLOAT) -> tuple:
-    """The squared trigonometric values ``_born_stages`` reads: sin^2 theta, cos^2 theta, alpha^2 and beta^2.
-
-    Of a float, or with the ``_ARRAY`` backend of an array, element for element the same bits: alpha and beta
-    are sin and cos of theta/2, and each square is pow(x, 2.0), as ``x ** 2`` of a float is.
-    """
-    sin, cos, power, half = fns.sin, fns.cos, fns.pow, theta / 2.0
-    return power(sin(theta), 2.0), power(cos(theta), 2.0), power(sin(half), 2.0), power(cos(half), 2.0)
-
-
 def _with_sender_rows(w, per_ket, eta_a: float, axis: int) -> np.ndarray:
     """Rows (ket 0, ket 1, vacuum) on ``axis``, -2 or -3 before a batch axis: sender row r clicks with eta_a w_r."""
     joint = (w[..., None] if axis == -2 else w[..., None, :]) * per_ket
     return np.concatenate([eta_a * joint, (1.0 - eta_a) * joint.sum(axis=axis, keepdims=True)], axis=axis)
 
 
-def _born_stages(s2, c2, a2, b2, channel: ChannelModel):
+def _born_stages(theta, channel: ChannelModel, fns: _Backend = _FLOAT):
     """Closed-form Born cells of one setting, or of many, before any cumulative sum.
 
-    Takes ``_squares`` of a setting as floats, or of many as 1-D arrays, which
-    add a last (batch) axis to every stage. Attack-free: the (i, j, row, col)
-    grid and None. Attacked: the (i, row, e) joint of sender row and attacker
-    branch e, and the (e, j, col) receiver cells. Sender row r of basis i
-    (weight w_r) steers the receiver onto a ket whose squared overlaps with the
-    receiver's and attacker's kets give each cell.
+    Takes one source angle as a float, or with ``_ARRAY`` many as a 1-D array,
+    which adds a last (batch) axis to every stage. Attack-free: the (i, j, row,
+    col) grid and None. Attacked: the (i, row, e) joint of sender row and
+    attacker branch e, and the (e, j, col) receiver cells. Sender row r of
+    basis i (weight w_r) steers the receiver onto a ket whose squared overlaps
+    with the receiver's and attacker's kets, both at theta, give each cell:
+    ``_overlaps(theta, theta)``, and the attacker's cos^2 theta.
     """
-    d = 1.0 - 4.0 * channel.depol_p / 3.0
-    eta_b = channel.eta_b
-    axis = -3 if isinstance(s2, np.ndarray) else -2  # the sender-row axis
-    zero = 0.0 * s2  # adding it gives a constant cell the batch shape, and leaves a float as it is
+    d, eta_b = 1.0 - 4.0 * channel.depol_p / 3.0, channel.eta_b
+    zero, s2, b2, a2 = _overlaps(theta, theta, fns)  # ``zero`` gives a constant cell the batch shape
+    axis = -3 if fns is _ARRAY else -2  # the sender-row axis
     one, half, vacuum = zero + 1.0, zero + 0.5, zero + (1.0 - eta_b)
 
     def receiver(k) -> list:
@@ -245,6 +235,7 @@ def _born_stages(s2, c2, a2, b2, channel: ChannelModel):
         w = np.array([[[half, half]], [[a2, b2]]])  # (i, j, row), the same for both j
         return _with_sender_rows(w, per_ket, channel.eta_a, axis), None
     # P(e | ket) for e = identified_1, identified_0, ambiguous_0, ambiguous_1
+    c2 = fns.pow(fns.cos(theta), 2.0)
     eve = 0.5 * np.array([[[zero, s2, one, c2], [s2, zero, c2, one]],
                           [[b2, b2, a2, a2], [a2, a2, b2, b2]]])  # (i, row, e)
     # e = 0 resends signal 1 and e = 1 signal 0, and B_j clicks on signal s != j;
@@ -269,7 +260,7 @@ def born_table(angle: ProtocolAngle, channel: ChannelModel) -> CorrelationTable:
     The twin of ``table_from_state(analytic_pipeline_state(angle, channel),
     ch_settings(angle), channel)``; attacked cells sum over the attacker's branch.
     """
-    return CorrelationTable("probability", _born_grids(*_born_stages(*_squares(angle.theta), channel)))
+    return CorrelationTable("probability", _born_grids(*_born_stages(angle.theta, channel)))
 
 
 def born_ch(theta: np.ndarray, channel: ChannelModel) -> np.ndarray:
@@ -279,7 +270,7 @@ def born_ch(theta: np.ndarray, channel: ChannelModel) -> np.ndarray:
     ``_born_stages`` pass over the whole batch, which stays the last axis
     throughout; any bad grid raises the ``ValueError`` that ``born_table`` would.
     """
-    return _probability_ch(_born_grids(*_born_stages(*_squares(theta, _ARRAY), channel)))
+    return _probability_ch(_born_grids(*_born_stages(theta, channel, _ARRAY)))
 
 
 class _Distributions:
@@ -297,18 +288,15 @@ class _Distributions:
     __slots__ = ("cells", "cdf", "thresholds", "bounds", "guide")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
-        stage1, stage2 = _born_stages(*_squares(angle.theta), channel)
+        stage1, stage2 = _born_stages(angle.theta, channel)
         attacked = stage2 is not None
         self.cells = _ROW_CELLS[attacked]
         w = np.array([1.0 - test_fraction, test_fraction]) * 0.5
-        if attacked:
-            probabilities = (stage1 * w[:, None, None]).take(_STAGE1_AT) * stage2.take(_STAGE2_AT)
-        else:
-            probabilities = (stage1 * w[:, None, None, None]).ravel()
+        probabilities = ((stage1 * w[:, None, None]).take(_STAGE1_AT) * stage2.take(_STAGE2_AT) if attacked
+                         else (stage1 * w[:, None, None, None]).ravel())
         self.cdf = _read_only(probabilities.cumsum())
-        self.thresholds = self.bounds = _thresholds(self.cdf)
-        if attacked:
-            self.bounds = _read_only(self.thresholds.take(_LASTS))
+        self.thresholds = _thresholds(self.cdf)
+        self.bounds = _read_only(self.thresholds.take(_LASTS)) if attacked else self.thresholds
         self.guide = _guide_table(self.bounds)
 
 

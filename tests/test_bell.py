@@ -142,6 +142,15 @@ class TestCorrelationTable:
             with pytest.raises(ValueError, match=r"setting pair \(1,0\) has no rounds"):
                 functional(t)
 
+    @pytest.mark.parametrize("data, key", [
+        ([], "'mode'"), ("count", "'mode'"), (None, "'mode'"), ({"pairs": {}}, "'mode'"),
+        ({"mode": "count"}, "'pairs'"), ({"mode": "count", "pairs": [1]}, "'pairs'"),
+        ({"mode": "count", "pairs": {"00": [0] * 9}}, "'pairs'"), ({"mode": "count", "pairs": None}, "'pairs'"),
+    ])
+    def test_malformed_documents_name_the_key(self, data, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            CorrelationTable.from_json_dict(data)
+
     def test_json_roundtrip_both_modes(self):
         grids = np.zeros((2, 2, 3, 3), dtype=np.int64)
         grids[:, :, 0, 0] = 2

@@ -84,6 +84,7 @@ def test_probabilities_reject_bools_and_strings(site):
 BELL_VALUE_SITES = {
     "gain_from_ch": (lambda v: gain_from_ch(v, 0.05), "Bell value"),
     "gain_from_chsh": (lambda v: gain_from_chsh(v, 0.05), "correlator value"),
+    "depolarized_ch": (lambda v: depolarized_ch(v, 0.1), "Bell value"),
 }
 
 

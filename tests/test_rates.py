@@ -8,7 +8,7 @@ import pytest
 
 import oracle
 from oracle import golden_section_max
-from entb92 import qcore, rates
+from entb92 import bell, qcore, rates
 from entb92.bell import CH_QUANTUM_MAX, ch_value, ch_with_loss, table_from_state
 from entb92.channels import ChannelModel, analytic_pipeline_state, depolarize
 from entb92.rates import (
@@ -167,6 +167,17 @@ class TestDepolarizedCh:
     def test_strength_validated(self):
         with pytest.raises(ValueError):
             depolarized_ch(0.1, -0.1)
+
+    def test_elementwise_on_real_finite_arrays(self):
+        s = np.linspace(-0.5, 0.2, 30)
+        for values in (s, s.reshape(5, 6), np.arange(-2, 3)):
+            got = depolarized_ch(values, 0.02)
+            assert got.shape == values.shape
+            assert bits(got.ravel()) == bits(depolarized_ch(v, 0.02) for v in values.ravel().tolist())
+        for bad in (np.array([0.1, math.nan]), np.array([math.inf]), np.array([True, False]),
+                    np.array(["0.1"]), np.array([0.1], dtype=object), np.array([0.1 + 0j])):
+            with pytest.raises(ValueError, match="Bell value"):
+                depolarized_ch(bad, 0.02)
 
 
 class TestQberAndConclusive:
@@ -530,16 +541,31 @@ class TestBackends:
         # if this host's numpy sin, cos, sqrt or float_power rounds unlike libm, this is the test that fails
         theta = np.array(self.ANGLES)
         setting = rates._setting(theta, strategy)
+        # the receiver's overlaps at phi = theta, and at the strategy's phi (theta again, or atan(sin theta))
         phi = setting[0]
-        weights = rates._key_round_weights(theta, phi)
+        overlaps = [bell._overlaps(theta, angle, bell._ARRAY) for angle in (theta, phi)]
         closed = rates._closed_form(theta, 0.013, strategy)
         for k, th in enumerate(self.ANGLES):
             got = rates._setting(th, strategy, rates._FLOAT)
             assert bits(got) == bits(np.broadcast_to(col, theta.shape)[k] for col in setting), th
-            assert bits(rates._key_round_weights(th, got[0], rates._FLOAT)) == bits(col[k] for col in weights), th
+            for angle, want in zip((th, got[0]), overlaps):
+                values = bell._overlaps(th, angle)
+                assert all(type(v) is float for v in values)
+                assert bits(values) == bits(col[k] for col in want), (th, angle)
             float_closed = rates._closed_form(th, 0.013, strategy, rates._FLOAT)
             assert all(type(v) is float for v in float_closed)
             assert bits(float_closed) == bits(col[k] for col in closed), th
+
+    def test_overlaps_at_the_source_angle(self):
+        # at phi = theta: 0, sin^2 theta, cos^2(theta/2), sin^2(theta/2), each square pow(x, 2.0), bit for bit
+        for th in self.ANGLES:
+            want = (0.0, math.pow(math.sin(th), 2.0), math.pow(math.cos(th / 2.0), 2.0),
+                    math.pow(math.sin(th / 2.0), 2.0))
+            assert bits(bell._overlaps(th, th)) == bits(want), th
+        theta = np.array(self.ANGLES)
+        want = [np.float_power(f(x), 2.0) for f, x in ((np.sin, 0.0 * theta), (np.sin, theta),
+                                                        (np.cos, theta / 2.0), (np.sin, theta / 2.0))]
+        assert [bits(v) for v in bell._overlaps(theta, theta, bell._ARRAY)] == [bits(v) for v in want]
 
     def test_scan_columns_are_read_only(self):
         assert set(rates._SCAN_COLUMNS) == set(STRATEGIES)

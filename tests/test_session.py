@@ -568,7 +568,7 @@ class TestCheckRows:
     """Each row of ``bell._CHECK_ROWS``, through every cell of one valid USD table with no cell below 1e-3."""
 
     # the closed-form cells of born_table, before any check
-    GOOD = session._born_grids(*session._born_stages(*session._squares(0.8), ChannelModel(
+    GOOD = session._born_grids(*session._born_stages(0.8, ChannelModel(
         eta_a=0.9, eta_b=0.7, depol_p=0.03, attacker="usd")))
 
     def message(self, bad):
