@@ -168,12 +168,13 @@ def depolarized_ch(s_ch: float, p: float) -> float:
     The map shrinks every receiver-side Bloch vector by (1 - 4p/3), which
     turns any rank-1-settings value s into (1 - 4p/3) s - 2p/3. Fully
     depolarizing (p = 3/4) lands on -1/2, the value of uncorrelated noise.
-    Works elementwise on numpy arrays of real, finite numbers; any other
-    Bell value must be a finite real number.
+    Works elementwise on numpy arrays of real, finite numbers, taken as
+    float64, so each element is the float call's value; any other Bell value
+    must be a finite real number.
     """
     if not (isinstance(s_ch, np.ndarray) and s_ch.dtype.kind in "iuf"):
         s_ch = _finite("Bell value", s_ch)
-    elif not np.isfinite(s_ch).all():
+    elif not np.isfinite(s_ch := s_ch.astype(np.float64, copy=False)).all():
         raise ValueError("Bell values must be finite")
     return _depolarized(_check_depol(p), s_ch, 0.0, 0.0)[0]
 

@@ -14,11 +14,12 @@ are therefore bit-identical across worker counts.
 The variate picks the whole round at once: basis choices, outcomes and, on
 attacked sessions, the attacker's branch. Its cells are the exact Born
 cells of ``_born_stages``, which ``born_table`` also returns, weighted by
-the basis choices and laid out as one CDF row per setting, precomputed
-with thresholds ``ceil(cdf * 2^53) * 2^-53`` on the variates' own grid. The
-chunked tally counts grid cells straight from a guide table over the
-thresholds at each grid cell's last row cell; the scalar ``sample_round``
-counts the row's own thresholds, the same rule, which also gives the branch.
+the basis choices and laid out as one CDF row per setting over (i, j, row,
+col, e), the attacker's branch e fastest, with thresholds ``ceil(cdf *
+2^53) * 2^-53`` on the variates' own grid. A variate's row cell, the count
+of the thresholds <= it, divided by the branch count gives the grid cell and
+the branch; ``sample_round`` reads both, and the chunked tally reads the
+grid cell from a guide table over each grid cell's last threshold.
 """
 
 from __future__ import annotations
@@ -66,19 +67,8 @@ _KEY_BIT = dict(_CELLS)
 _COUNTED = tuple(operator.itemgetter(*np.flatnonzero(column).tolist()) for column in np.array(
     [(clicked, clicked and basis == "Z", bit is not None, bit is not None and bit[0] != bit[1])
      for (basis, a, _, b), bit in _CELLS for clicked in [a != "vacuum" and b != "vacuum"]]).T)
-# The cells of a session's sampling row, by attacked flag: each is a grid cell and the attacker's branch e, None
-# without an attacker. An attacked row keeps the 84 of the 144 (cell, e) that can be non-zero: on branches 2 and 3 the
-# attacker suppresses the photon, so the receiver sees vacuum, and a Z round never takes branch e < 2 on sender row e.
-_ROW_CELLS = (tuple((c, None) for c in range(36)),
-              tuple((9 * (2 * i + j) + 3 * row + col, e) for i in (0, 1) for j in (0, 1) for row in range(3)
-                    for col in range(3) for e in range(4) if (col == 2 if e > 1 else i or row != e)))
-# each grid cell's last attacked row cell, whose threshold is the grid cell's
-_LASTS = _read_only(np.flatnonzero(np.diff([c for c, _ in _ROW_CELLS[1]], append=36)))
 # the grid cells, which a guide table repeats as often as each fills buckets
 _GRID_CELLS = _read_only(np.arange(36, dtype=np.uint8))
-# where each attacked row cell (i, j, row, col, e) reads the flat (i, row, e) and (e, j, col) stages of _born_stages
-_STAGE1_AT, _STAGE2_AT = map(_read_only, np.array(
-    [((c // 18 * 3 + c // 3 % 3) * 4 + e, (2 * e + c // 9 % 2) * 3 + c % 3) for c, e in _ROW_CELLS[1]]).T.copy())
 
 
 def _integer(name: str, value) -> int:
@@ -274,30 +264,31 @@ def born_ch(theta: np.ndarray, channel: ChannelModel) -> np.ndarray:
 
 
 class _Distributions:
-    """Sampling row of one setting: the CDF over its ``_ROW_CELLS`` and the decode tables of that CDF.
+    """Sampling row of one setting: the CDF over its (i, j, row, col, e) cells and the decode tables of that CDF.
 
-    Row cell (c, e) has probability w_i / 2 times the ``_born_stages`` cell
-    of grid cell c (times the receiver cell of branch e on attacked
-    sessions), with w_X = ``test_fraction`` and w_Z = 1 - w_X.
-    ``thresholds`` holds the row's ``_thresholds``, ``bounds`` those at each
-    grid cell's last row cell (the row's own without an attacker) and
-    ``guide`` the ``_guide_table`` of ``bounds``. All are read-only, so one
+    Cell (i, j, row, col, e) is w_i / 2 times the (i, row, e) and (e, j, col)
+    stages of ``_born_stages`` (the grid cell itself without an attacker),
+    with w_X = ``test_fraction`` and w_Z = 1 - w_X. The attacker's branch e
+    runs fastest over ``branches`` values, 4 or 1, so row cell k lies in grid
+    cell ``k // branches``. Cells no branch reaches (vacuum at the receiver on
+    branches 2 and 3; a Z round's branch e on sender row e) are exactly 0.0,
+    so their thresholds repeat their predecessors' and no variate lands on
+    them. ``thresholds`` holds the row's ``_thresholds`` and ``guide`` the
+    ``_guide_table`` of each grid cell's last one. All are read-only, so one
     instance can serve many callers.
     """
 
-    __slots__ = ("cells", "cdf", "thresholds", "bounds", "guide")
+    __slots__ = ("branches", "cdf", "thresholds", "guide")
 
     def __init__(self, angle: ProtocolAngle, channel: ChannelModel, test_fraction: float):
         stage1, stage2 = _born_stages(angle.theta, channel)
-        attacked = stage2 is not None
-        self.cells = _ROW_CELLS[attacked]
         w = np.array([1.0 - test_fraction, test_fraction]) * 0.5
-        probabilities = ((stage1 * w[:, None, None]).take(_STAGE1_AT) * stage2.take(_STAGE2_AT) if attacked
-                         else (stage1 * w[:, None, None, None]).ravel())
+        self.branches = 1 if stage2 is None else 4
+        probabilities = (stage1 * w[:, None, None, None] if stage2 is None
+                         else (stage1 * w[:, None, None])[:, None, :, None] * stage2.transpose(1, 2, 0)[:, None])
         self.cdf = _read_only(probabilities.cumsum())
         self.thresholds = _thresholds(self.cdf)
-        self.bounds = _read_only(self.thresholds.take(_LASTS)) if attacked else self.thresholds
-        self.guide = _guide_table(self.bounds)
+        self.guide = _guide_table(self.thresholds[self.branches - 1::self.branches])
 
 
 def _thresholds(cdf: np.ndarray) -> np.ndarray:
@@ -353,7 +344,7 @@ def _words(stream, start: int, n: int, out: np.ndarray) -> np.ndarray:
 
 
 def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
-    """The grid cell of each variate: the guide's count, or in a split bucket the count of ``dist.bounds`` <= it.
+    """The grid cell of each variate: the guide's count, or in a split bucket its row cell over ``dist.branches``.
 
     Per-round arrays stay uint8/uint16: round-length intp temporaries let
     malloc trim the heap and fault it back in on every chunk.
@@ -362,7 +353,7 @@ def _decode(variates: np.ndarray, dist: _Distributions) -> np.ndarray:
     cell = dist.guide.take(key)
     slow = np.flatnonzero(cell >= _MIXED)
     if slow.size:
-        cell[slow] = dist.bounds.searchsorted(variates[slow], side="right")
+        cell[slow] = dist.thresholds.searchsorted(variates[slow], side="right") // dist.branches
     return cell
 
 
@@ -380,9 +371,9 @@ def sample_round(rng_state: np.random.Generator, config: SessionConfig) -> Round
     test fraction) and reused by later calls with the same setting.
     """
     dist = _shared_distributions(config.angle, config.channel, config.test_fraction)
-    cell, e = dist.cells[dist.thresholds.searchsorted(rng_state.random(), side="right")]
+    cell, e = divmod(int(dist.thresholds.searchsorted(rng_state.random(), side="right")), dist.branches)
     fields, key_bit = _CELLS[cell]
-    return RoundRecord(*fields, key_bit=key_bit, eve_outcome=None if e is None else e + 1)
+    return RoundRecord(*fields, key_bit=key_bit, eve_outcome=None if dist.branches == 1 else e + 1)
 
 
 def _result_from_table(table: CorrelationTable, config: SessionConfig) -> SessionResult:

@@ -146,6 +146,9 @@ class TestCorrelationTable:
         ([], "'mode'"), ("count", "'mode'"), (None, "'mode'"), ({"pairs": {}}, "'mode'"),
         ({"mode": "count"}, "'pairs'"), ({"mode": "count", "pairs": [1]}, "'pairs'"),
         ({"mode": "count", "pairs": {"00": [0] * 9}}, "'pairs'"), ({"mode": "count", "pairs": None}, "'pairs'"),
+        # a short pair, and a ragged one, on which numpy's own shape error names no pair
+        *(({"mode": "count", "pairs": {"00": pair, "01": [0] * 9, "10": [0] * 9, "11": [0] * 9}}, "pair 00 must hold 9")
+          for pair in ([0] * 8, [1, [2, 3], 0, 0, 0, 0, 0, 0, 0])),
     ])
     def test_malformed_documents_name_the_key(self, data, key):
         with pytest.raises(ValueError, match=re.escape(key)):

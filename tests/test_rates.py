@@ -170,7 +170,8 @@ class TestDepolarizedCh:
 
     def test_elementwise_on_real_finite_arrays(self):
         s = np.linspace(-0.5, 0.2, 30)
-        for values in (s, s.reshape(5, 6), np.arange(-2, 3)):
+        # a float32 array is widened first, as the float call widens each element
+        for values in (s, s.reshape(5, 6), np.arange(-2, 3), s.astype(np.float32)):
             got = depolarized_ch(values, 0.02)
             assert got.shape == values.shape
             assert bits(got.ravel()) == bits(depolarized_ch(v, 0.02) for v in values.ravel().tolist())

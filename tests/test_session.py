@@ -208,6 +208,9 @@ class TestScalarSampler:
             # ambiguous attacker outcomes suppress the signal entirely
             if rec.eve_outcome >= 3:
                 assert rec.bob_outcome == "vacuum"
+            # branch e (eve_outcome e + 1) identifies signal 1 - e, never the sender's Z outcome e
+            if rec.alice_basis == "Z" and rec.alice_outcome != "vacuum":
+                assert rec.eve_outcome != rec.alice_outcome + 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk_size", [1, 7, 65536])
@@ -258,23 +261,28 @@ class TestScalarSampler:
     def test_shared_tables_are_read_only(self):
         for channel in (ChannelModel(), ChannelModel(attacker="usd")):
             dist = session._shared_distributions(ANG, channel, 0.25)
-            for table in (dist.cdf, dist.thresholds, dist.guide, dist.bounds):
+            for table in (dist.cdf, dist.thresholds, dist.guide):
                 with pytest.raises(ValueError):
                     table[0] = 1
 
 
 def row_cells(attacked):
-    """The (grid cell, attacker branch) of each row cell, from the attack model alone.
+    """The (grid cell, attacker branch) of each row cell: the (i, j, row, col) grid, with the branch e fastest.
 
-    Without an attacker the row is the (i, j, row, col) grid. With one, the
-    attacker's branch e runs fastest, and a cell is left out when it is zero
-    at every setting: the receiver sees vacuum on the suppressing branches 2
-    and 3, and the sender's Z outcome row never comes with branch e = row < 2.
+    Without an attacker the branch is None; with one, every grid cell holds all
+    four branches, those the attack model never reaches included.
     """
-    if not attacked:
-        return [(c, None) for c in range(36)]
-    return [(c, e) for c in range(36) for e in range(4)
-            if not (e >= 2 and c % 3 != 2) and not (c < 18 and e < 2 and c // 3 % 3 == e)]
+    return [(c, e) for c in range(36) for e in (range(4) if attacked else [None])]
+
+
+def structural_zeros():
+    """Whether each attacked row cell (i, j, row, col, e) is zero at every setting, from the attack model alone.
+
+    The receiver sees vacuum on the suppressing branches 2 and 3, and the
+    sender's Z outcome row never comes with branch e = row < 2.
+    """
+    return np.array([(e >= 2 and col < 2) or (i == 0 and row == e < 2)
+                     for i, j, row, col, e in np.ndindex(2, 2, 3, 3, 4)])
 
 
 def grid_counts(cells, attacked):
@@ -341,7 +349,7 @@ def grid_thresholds(dist):
     A variate's grid cell is the count of these at or below it: every row cell
     of grid cell g lies past the last row cell of each grid cell before g.
     """
-    ts, grid = exact_thresholds(dist.cdf), [c for c, _ in row_cells(len(dist.cells) > 36)]
+    ts, grid = exact_thresholds(dist.cdf), [c for c, _ in row_cells(len(dist.cdf) > 36)]
     return [t for t, c, after in zip(ts, grid, grid[1:]) if after != c]
 
 
@@ -397,7 +405,8 @@ class TestWordKernel:
         assert dist.guide.shape == (4096,)
         ts = sorted(grid_thresholds(dist))
         assert (dist.thresholds * GRID).tolist() == [min(t, GRID) for t in exact_thresholds(dist.cdf)] + [GRID]
-        assert (dist.bounds * GRID).tolist() == [min(t, GRID) for t in grid_thresholds(dist)] + [GRID]
+        b = dist.branches
+        assert (dist.thresholds[b - 1::b] * GRID).tolist() == [min(t, GRID) for t in grid_thresholds(dist)] + [GRID]
         at = [bisect.bisect_right(ts, b << 41) for b in range(4097)]
         last = [bisect.bisect_right(ts, ((b + 1) << 41) - 1) for b in range(4096)]
         guide = dist.guide.tolist()
@@ -411,7 +420,7 @@ class TestWordKernel:
         dist = _Distributions(ProtocolAngle.from_degrees(60.3), channel, 0.25)
         cells = row_cells(True)
         lasts = [max(k for k, (c, _) in enumerate(cells) if c == g) for g in range(36)]
-        assert dist.bounds.tolist() == dist.thresholds[lasts].tolist()
+        assert dist.guide.tolist() == session._guide_table(dist.thresholds[lasts]).tolist()
         row_splits = {t >> 41 for t in exact_thresholds(dist.cdf) if t < GRID and t % 2 ** 41}
         assert len(row_splits) == 75
         assert np.count_nonzero(dist.guide >= 0x80) <= 35
@@ -485,14 +494,29 @@ class TestClosedFormTables:
                     state = analytic_pipeline_state(angle, channel)
                     want = table_from_state(state, ch_settings(angle), channel).grids
                     np.testing.assert_allclose(born_table(angle, channel).grids, want, rtol=0.0, atol=1e-13)
-                    # the row holds every cell the pipeline gives, in row_cells order; the cells it leaves out are zero
-                    cells = row_cells(attacker == "usd")
-                    assert list(dist.cells) == cells
-                    fine = pipeline_row(angle, channel).reshape(36, -1)
-                    kept = np.zeros(fine.shape, dtype=bool)
-                    kept[tuple(np.array([(c, e or 0) for c, e in cells]).T)] = True
-                    np.testing.assert_allclose(dist.cdf, np.cumsum(fine[kept]), rtol=0.0, atol=1e-13)
-                    np.testing.assert_allclose(fine[~kept], 0.0, rtol=0.0, atol=1e-13)
+                    # the row holds every cell the pipeline gives, in row_cells order
+                    fine = pipeline_row(angle, channel)
+                    assert len(dist.cdf) == len(row_cells(attacker == "usd")) == fine.size
+                    np.testing.assert_allclose(dist.cdf, np.cumsum(fine), rtol=0.0, atol=1e-13)
+                    if attacker == "usd":
+                        np.testing.assert_allclose(fine.ravel()[structural_zeros()], 0.0, rtol=0.0, atol=1e-13)
+
+    def test_structural_zeros_are_exact(self):
+        # the attacked row cells no branch reaches are exactly 0.0, so the CDF
+        # and the thresholds repeat their predecessors' there, bit for bit, and no variate lands on them
+        zeros = structural_zeros()
+        assert zeros.sum() == 60
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            eta_a, eta_b, p = (rng.choice([0.0, 1.0, rng.uniform()]) for _ in range(3))
+            channel = ChannelModel(eta_a=eta_a, eta_b=eta_b, depol_p=p, attacker="usd")
+            theta = rng.uniform(1e-3, math.pi / 2 - 1e-3)
+            stage1, stage2 = session._born_stages(theta, channel)
+            assert stage1[0, [0, 1], [0, 1]].tolist() == [0.0, 0.0] and not stage2[2:, :, :2].any()
+            dist = _Distributions(ProtocolAngle(theta), channel, rng.uniform(0.05, 0.95))
+            for table in (dist.cdf, dist.thresholds):
+                before = np.concatenate([[0.0], table[:-1]])
+                assert table[zeros].tolist() == before[zeros].tolist()
 
     def test_sessions_build_no_density_matrices(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
